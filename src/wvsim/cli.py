@@ -46,6 +46,7 @@ from .errors import (
 )
 from .grid import GridSpec, evolve_joint, evolve_sequential, moments
 from .montecarlo import (
+    MAX_TRIALS,
     DetectorModel,
     RunSummary,
     anomaly_report,
@@ -144,8 +145,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             values[key] = flag * degrees if key in ("alpha", "beta") else flag
     if not (0 <= values["seed"] < 2 ** 64):
         raise InvalidParameterError("seed must fit in 64 unsigned bits")
-    if values["trials"] < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if not (1 <= values["trials"] <= MAX_TRIALS):
+        raise InvalidParameterError("trials must be in [1, 2**63 - 1]")
     params = ProtocolParams(
         n=int(values["n"]), alpha=values["alpha"], beta=values["beta"], delta=values["delta"]
     )

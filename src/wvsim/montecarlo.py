@@ -16,9 +16,14 @@ which for strongly anomalous settings is tiny (~1e-7): collecting 1e5
 clicks means ~1e11 trials.  Rather than looping over every trial, the
 indices of accepted trials are generated directly as a geometric-gap
 walk, which has exactly the law of independent per-trial coin flips.
-Each accepted trial then draws its click position from its own RNG
-stream keyed by (master seed, trial index), so results are reproducible
-trial by trial and independent of execution order.
+Each accepted trial then draws its click position from its own stream,
+the counter-based Philox4x64-10 generator with key = master seed and
+counter = trial index (`trial_rng`), so results are reproducible trial
+by trial and independent of execution order.  Because a Philox output
+block is a pure function of (key, counter), `run_trials` computes the
+first uniform of every accepted trial in one vectorised numpy pass
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+instead of building one generator per click.
 """
 from __future__ import annotations
 
@@ -32,11 +37,22 @@ from .analytic import ProtocolParams, pointer_std
 from .errors import InvalidParameterError
 from .grid import GridSpec, cdf, evolve_sequential, moments
 
-# spawn_key tags: acceptance gap walk vs per-trial position streams.
+# spawn_key tag of the acceptance gap walk.
 _ACCEPT_STREAM = 0
-_CLICK_STREAM = 1
 
 _GAP_BATCH = 32768
+
+# Largest trial count: trial indices and Philox counters (index + 1) then
+# stay inside int64.
+MAX_TRIALS = 2 ** 63 - 1
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
+# as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -131,25 +147,55 @@ def _conditional_sampler(params: ProtocolParams, spec: GridSpec) -> _Conditional
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Position stream of one trial, keyed by (master seed, trial index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_CLICK_STREAM, trial_index))
-    return np.random.default_rng(ss)
+    """Position stream of one trial: Philox4x64-10 with key = master seed
+    (below 2**128) and counter = trial index."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial_index))
 
 
-def sample_click(
-    rng: np.random.Generator,
-    params: ProtocolParams,
-    spec: GridSpec,
-    detector: DetectorModel,
-) -> ClickOutcome:
-    """One trial: accept with the post-selection probability, then draw the
-    click position from the conditional density.  Deterministic for a fixed
-    generator state and parameters."""
-    sampler = _conditional_sampler(params, spec)
-    if rng.random() >= sampler.probability:
-        return ClickOutcome.absorbed()
-    raw = float(sampler.draw(np.asarray([rng.random()]))[0])
-    return ClickOutcome.click(raw, float(detector.pixel_center(raw)))
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit limbs."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> _SHIFT32, x & _MASK32
+    lo_lo = m_lo * x_lo
+    mid = m_hi * x_lo + (lo_lo >> _SHIFT32)
+    mid2 = m_lo * x_hi + (mid & _MASK32)
+    hi = m_hi * x_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
+    return hi, np.uint64(m) * x
+
+
+def _first_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
+    """trial_rng(seed, i).random() for every i in `indices`, in one pass.
+
+    The generator's first output block is Philox4x64-10 at counter i + 1;
+    random() takes word 0 of it as (x >> 11) * 2**-53."""
+    k0, k1 = seed & 0xFFFFFFFFFFFFFFFF, seed >> 64
+    c0 = indices.astype(np.uint64) + np.uint64(1)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return (c0 >> np.uint64(11)) * 2.0 ** -53
+
+
+def _check_run(seed: int, trials: int, name: str) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(f"{name} must be in [1, 2**63 - 1], got {trials}")
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def _gap_batches(seed: int, probability: float):
+    """The acceptance stream of `seed`: successive batches of geometric gaps
+    between accepted trials."""
+    gen = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
+    )
+    while True:
+        yield gen.geometric(probability, size=_GAP_BATCH)
 
 
 def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
@@ -158,19 +204,23 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
     flips, but O(accepted) work instead of O(count))."""
     if probability >= 1.0:
         return np.arange(count, dtype=np.int64)
-    gen = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
-    )
     chunks = []
     total = 0
+    batches = _gap_batches(seed, probability)
     while total < count:
-        gaps = gen.geometric(probability, size=_GAP_BATCH)
-        positions = np.cumsum(gaps) + total
-        keep = positions <= count
-        chunks.append(positions[keep])
-        total = int(positions[-1])
-    indices = np.concatenate(chunks) - 1
-    return indices.astype(np.int64)
+        offsets = np.cumsum(next(batches))
+        # Gaps are >= 1, so the offsets rise until one wraps past int64 to a
+        # negative value.  That one and all after it lie beyond any count up
+        # to MAX_TRIALS, so only the rising prefix is walked.
+        wrapped = np.flatnonzero(offsets < 0)
+        if wrapped.size:
+            offsets = offsets[: wrapped[0]]
+        keep = int(np.searchsorted(offsets, count - total, side="right"))
+        chunks.append(offsets[:keep] + (total - 1))
+        if keep < offsets.size or wrapped.size:
+            break
+        total += int(offsets[-1])
+    return np.concatenate(chunks)
 
 
 def run_trials(
@@ -184,12 +234,11 @@ def run_trials(
 
     first_click is the accepted outcome with the smallest trial index (the
     single-click reading of the run).  Zero accepted clicks produce an
-    explicit empty summary with NaN statistics, not an error.
+    explicit empty summary with NaN statistics, not an error.  `count`
+    above MAX_TRIALS or `seed` outside [0, 2**128) raise
+    InvalidParameterError.
     """
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+    _check_run(seed, count, "count")
     sampler = _conditional_sampler(params, spec)
     indices = _accepted_indices(seed, count, sampler.probability)
     accepted = int(indices.size)
@@ -204,10 +253,7 @@ def run_trials(
             histogram=(),
         )
 
-    u = np.empty(accepted)
-    for j, idx in enumerate(indices):
-        u[j] = trial_rng(seed, int(idx)).random()
-    raw = sampler.draw(u)
+    raw = sampler.draw(_first_uniforms(seed, indices))
     pixel_idx = detector.pixel_index(raw)
     positions = detector.origin + pixel_idx * detector.pixel_pitch
 
@@ -247,20 +293,12 @@ def first_click(
 
     Walks the same acceptance stream as run_trials, so the result matches
     the first_click of any run_trials call with count >= index + 1."""
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+    _check_run(seed, budget, "budget")
     sampler = _conditional_sampler(params, spec)
     if sampler.probability >= 1.0:
         idx = 0
     else:
-        # Same acceptance stream and batch draw as _accepted_indices, so the
-        # first gap (and hence the first index) matches run_trials exactly.
-        gen = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
-        )
-        idx = int(gen.geometric(sampler.probability, size=_GAP_BATCH)[0]) - 1
+        idx = int(next(_gap_batches(seed, sampler.probability))[0]) - 1
     if idx >= budget:
         return None
     raw = float(sampler.draw(np.asarray([trial_rng(seed, idx).random()]))[0])

@@ -97,6 +97,7 @@ class TestWvCommand:
     def test_invalid_input_exit_code(self):
         assert run_cli(["wv", "--n", "0"]) == 1
         assert run_cli(["wv", "--delta", "-1"]) == 1
+        assert run_cli(["click", "--preset", "d", "--trials", str(2**63)]) == 1
 
 
 class TestTableCommand:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -17,13 +18,19 @@ from wvsim import (
     pointer_std,
     postselect_probability,
     run_trials,
-    sample_click,
     summary_csv_row,
     trial_rng,
     write_histogram,
     wv_sum,
 )
-from wvsim.montecarlo import _conditional_sampler
+from wvsim.cli import main
+from wvsim.montecarlo import (
+    MAX_TRIALS,
+    _accepted_indices,
+    _conditional_sampler,
+    _first_uniforms,
+    _gap_batches,
+)
 
 DET = DetectorModel()
 
@@ -49,24 +56,26 @@ class TestClickOutcome:
             ClickOutcome(kind="click")
 
 
-class TestSampleClick:
-    def test_deterministic_for_fixed_state(self):
-        params = PRESETS["d"]
-        spec = GridSpec.for_protocol(params, dx=0.05)
-        a = sample_click(np.random.default_rng(9), params, spec, DET)
-        b = sample_click(np.random.default_rng(9), params, spec, DET)
-        assert a == b
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 - 1, 2**64 + 3])
+    def test_vectorised_uniforms_match_trial_rng(self, seed):
+        # The one-pass Philox must reproduce each trial's own generator bit
+        # for bit, from the first trials up to the largest index a run allows.
+        rng = np.random.default_rng(seed % 1000)
+        indices = np.concatenate([
+            rng.integers(0, MAX_TRIALS, size=3000),
+            np.arange(50),
+            np.arange(2**63 - 50, 2**63 - 1),
+        ])
+        expected = np.array([trial_rng(seed, int(i)).random() for i in indices])
+        assert np.array_equal(_first_uniforms(seed, indices), expected)
 
-    def test_certain_acceptance_distribution(self):
-        # alpha = beta = 0 passes every block: each trial clicks, and the
-        # clicks are Gaussian around +1 with width two.
-        params = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
-        spec = GridSpec.for_protocol(params, dx=0.05)
-        rng = np.random.default_rng(1)
-        clicks = [sample_click(rng, params, spec, DET) for _ in range(10_000)]
-        assert all(c.kind == "click" for c in clicks)
-        mean = np.mean([c.raw_position for c in clicks])
-        assert abs(mean - 1.0) < 3 * 2.0 / math.sqrt(10_000)
+    def test_table_accepts_largest_seed(self, capsys):
+        # Row i of a table is keyed by seed + i, past 2**64 for this seed.
+        assert main(["table", "--seed", "18446744073709551615"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 5
 
 
 class TestRunTrials:
@@ -120,6 +129,36 @@ class TestRunTrials:
             run_trials(1, 0, params, spec, DET)
         with pytest.raises(InvalidParameterError):
             run_trials(-1, 10, params, spec, DET)
+
+    def test_rejects_counts_past_int64(self):
+        params = PRESETS["d"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        with pytest.raises(InvalidParameterError):
+            run_trials(1, MAX_TRIALS + 1, params, spec, DET)
+        with pytest.raises(InvalidParameterError):
+            first_click(1, MAX_TRIALS + 1, params, spec, DET)
+        with pytest.raises(InvalidParameterError):
+            run_trials(2**128, 10, params, spec, DET)
+
+    def test_gap_walk_stays_inside_int64(self):
+        # At p = 1e-17 one batch of gaps sums far past 2**63, so the int64
+        # running sum wraps; the walk must match the same gaps summed exactly.
+        seed, probability = 5, 1e-17
+        indices = _accepted_indices(seed, MAX_TRIALS, probability)
+        gaps = next(_gap_batches(seed, probability))
+        sums = list(itertools.accumulate(int(g) for g in gaps))
+        assert sums[-1] > MAX_TRIALS
+        assert indices.tolist() == [s - 1 for s in sums if s <= MAX_TRIALS]
+        assert indices.size > 0 and indices.min() >= 0
+
+    def test_certain_acceptance_distribution(self):
+        # alpha = beta = 0 passes every block: each trial clicks, and the
+        # clicks are Gaussian around +1 with width two.
+        params = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        s = run_trials(1, 10_000, params, spec, DET)
+        assert s.accepted == s.trials == 10_000
+        assert abs(s.mean - 1.0) < 3 * 2.0 / math.sqrt(10_000)
 
     def test_acceptance_rate_tracks_probability(self):
         # 1e6 trials against the analytic pass probability, binomial 3 sigma.
