@@ -86,6 +86,16 @@ class TestRunTrials:
         s2 = run_trials(33, 5000, params, spec, DET)
         assert s1 == s2
 
+    def test_deterministic_for_fixed_state(self):
+        # One seed fixes every per-trial stream: the first click and its
+        # trial index come out the same on each call.
+        params = PRESETS["d"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        a = first_click(9, 5000, params, spec, DET)
+        b = first_click(9, 5000, params, spec, DET)
+        assert a is not None and a == b
+        assert trial_rng(9, a[0]).random() == trial_rng(9, a[0]).random()
+
     def test_summary_bookkeeping(self):
         params = PRESETS["d"]
         spec = GridSpec.for_protocol(params, dx=0.05)
