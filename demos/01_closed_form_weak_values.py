@@ -12,22 +12,21 @@ print("Bundled presets (n = 7 blocks each)")
 print(f"{'label':>5} {'alpha':>6} {'beta':>6} {'delta':>6} "
       f"{'weak value':>11} {'final std':>10} {'P(pass)':>10} {'<obs>':>7}")
 for label, params in sorted(wvsim.PRESETS.items()):
-    wv = wvsim.wv_sum(params)
-    std = wvsim.pointer_std(params)
-    prob = wvsim.postselect_probability(params)
+    m = wvsim.conditional_moments(params)
     base = wvsim.expectation_sigma_sum(params.n, params.alpha)
     print(f"{label:>5} {params.alpha:6.2f} {params.beta:6.2f} {params.delta:6.2f} "
-          f"{wv:11.3f} {std:10.3f} {prob:10.3e} {base:7.2f}")
+          f"{m.mean:11.3f} {m.std:10.3f} {m.probability:10.3e} {base:7.2f}")
 
 params = wvsim.PRESETS["a"]
+m = wvsim.conditional_moments(params)
 print()
 print("Preset 'a' dissected:")
 print(f"  eigenvalue range            [-{params.n}, +{params.n}]")
 print(f"  plain expectation value     {wvsim.expectation_sigma_sum(params.n, params.alpha):+.3f}")
-print(f"  weak value                  {wvsim.wv_sum(params):+.3f}")
+print(f"  weak value                  {m.mean:+.3f}")
 print(f"  initial pointer width       {params.delta}")
-print(f"  final pointer width         {wvsim.pointer_std(params):.3f}  (narrowed!)")
-print(f"  post-selection probability  {wvsim.postselect_probability(params):.3e}")
+print(f"  final pointer width         {m.std:.3f}  (narrowed!)")
+print(f"  post-selection probability  {m.probability:.3e}")
 
 # The weak value costs dearly: only one photon in ~3 million survives all
 # seven post-selections.  But each survivor reads ~18.7 with a +-4.5 spread,
@@ -36,14 +35,14 @@ print(f"  post-selection probability  {wvsim.postselect_probability(params):.3e}
 print()
 print("Single-coupling cross-check (n = 1 must reduce to the simple form):")
 single = wvsim.wv_single(params.alpha, params.beta, params.delta)
-reduced = wvsim.wv_sum(wvsim.ProtocolParams(1, params.alpha, params.beta, params.delta))
-print(f"  wv_single = {single:.15f}")
-print(f"  wv_sum    = {reduced:.15f}   (n = 1)")
+reduced = wvsim.conditional_moments(
+    wvsim.ProtocolParams(1, params.alpha, params.beta, params.delta)
+).mean
+print(f"  wv_single  = {single:.15f}")
+print(f"  n = 1 mean = {reduced:.15f}")
 
 print()
 print("Exact final pointer state of preset 'a' (amplitude per shift):")
 sup = wvsim.final_amplitudes(params)
 for shift, amp in zip(sup.shifts, sup.amplitudes):
     print(f"  shift {shift:+d}: amplitude {amp:+.5f}")
-print(f"  squared norm = {sup.squared_norm():.6e} (= pass probability)")
-print(f"  overlap-integral mean = {sup.mean():.4f} (= weak value)")

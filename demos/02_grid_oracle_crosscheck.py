@@ -28,11 +28,12 @@ print(f"  L2 distance of final states   {l2:.3e}")
 print(f"  |probability difference|      {abs(p_seq - p_joint):.3e}")
 
 mean, std = wvsim.moments(seq)
+m = wvsim.conditional_moments(params)
 print()
 print("grid vs closed forms")
-print(f"  mean  {mean:.9f}  vs  wv_sum      {wvsim.wv_sum(params):.9f}")
-print(f"  std   {std:.9f}  vs  pointer_std {wvsim.pointer_std(params):.9f}")
-print(f"  prob  {p_seq:.9e}  vs  {wvsim.postselect_probability(params):.9e}")
+print(f"  mean  {mean:.9f}  vs  closed form {m.mean:.9f}")
+print(f"  std   {std:.9f}  vs  closed form {m.std:.9f}")
+print(f"  prob  {p_seq:.9e}  vs  closed form {m.probability:.9e}")
 
 # Mass above the top eigenvalue: the reason one click suffices.
 c = wvsim.cdf(seq)

@@ -35,9 +35,10 @@ print(f"gap exceeds uncertainty {report.exceeds_uncertainty}")
 print()
 trials = 30_000_000_000  # ~11k accepted clicks
 ensemble = wvsim.run_trials(seed, trials, params, spec, detector)
+predicted = wvsim.conditional_moments(params)
 print(f"ensemble: {ensemble.accepted} clicks out of {ensemble.trials} trials")
-print(f"  mean   {ensemble.mean:.3f}  (weak value {wvsim.wv_sum(params):.3f})")
-print(f"  std    {ensemble.std:.3f}  (predicted  {wvsim.pointer_std(params):.3f})")
+print(f"  mean   {ensemble.mean:.3f}  (weak value {predicted.mean:.3f})")
+print(f"  std    {ensemble.std:.3f}  (predicted  {predicted.std:.3f})")
 print(f"  stderr {ensemble.stderr:.4f}")
 
 out = "clicks_preset_a.txt"

@@ -16,11 +16,7 @@ rows = wvsim.sweep_beta(n, alpha, delta, grid)
 
 print(f"{'beta':>5} {'weak value':>11} {'final std':>10} {'P(pass)':>10}")
 for point in rows:
-    params = wvsim.ProtocolParams(n=n, alpha=alpha, beta=point.beta, delta=delta)
-    try:
-        prob = f"{wvsim.postselect_probability(params):10.2e}"
-    except wvsim.PostselectionError:
-        prob = " " * 10
+    prob = " " * 10 if np.isnan(point.probability) else f"{point.probability:10.2e}"
     flag = "  <- anomalous" if abs(point.weak_value) > n else ""
     print(f"{point.beta:5.2f} {point.weak_value:11.3f} {point.std:10.3f} {prob}{flag}")
 

@@ -40,4 +40,4 @@ raw_mean = true_offset + true_scale * summary.mean
 print()
 print(f"preset 'a': {summary.accepted} clicks, raw-unit mean {raw_mean:.3f}")
 print(f"calibrated mean {wvsim.to_calibrated(cal, raw_mean):.3f} "
-      f"vs weak value {wvsim.wv_sum(params):.3f}")
+      f"vs weak value {wvsim.conditional_moments(params).mean:.3f}")

@@ -1,27 +1,20 @@
 """Sequential weak measurement of a polarization qubit with one shared
 Gaussian pointer: closed-form weak values and pointer moments, an
 independent discretized-wavefunction oracle, and a Monte Carlo
-single-click detector simulation."""
+single-click detector simulation.
+
+The package namespace holds what the command line and the demos use,
+plus the error types; everything else is imported from its submodule."""
 
 from .analytic import (
-    CouplingWeights,
-    DensityMatrix2,
-    PointerSuperposition,
     ProtocolParams,
-    SweepPoint,
-    build_rho_alpha,
-    coupling_weights,
+    conditional_moments,
     expectation_sigma_sum,
     final_amplitudes,
-    pointer_std,
-    postselect_probability,
-    second_moment,
     sweep_beta,
     wv_single,
-    wv_single_trace,
-    wv_sum,
 )
-from .calibration import Calibration, calibrate, to_calibrated, to_raw
+from .calibration import calibrate, to_calibrated
 from .errors import (
     DegenerateCalibrationError,
     InternalConsistencyError,
@@ -31,32 +24,13 @@ from .errors import (
     ProtocolError,
     TruncationError,
 )
-from .grid import (
-    GridSpec,
-    GridWavefunction,
-    JointState,
-    apply_block,
-    apply_sum_coupling,
-    build_joint_state,
-    cdf,
-    evolve_joint,
-    evolve_sequential,
-    init_gaussian,
-    moments,
-    project_all_qubits,
-    shift,
-    write_density,
-)
+from .grid import GridSpec, cdf, evolve_joint, evolve_sequential, moments, write_density
 from .montecarlo import (
-    AnomalyReport,
-    ClickOutcome,
     DetectorModel,
     RunSummary,
     anomaly_report,
     first_click,
     run_trials,
-    summary_csv_row,
-    trial_rng,
     write_histogram,
 )
 from .presets import PRESETS
@@ -64,56 +38,32 @@ from .presets import PRESETS
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyReport",
-    "Calibration",
-    "ClickOutcome",
-    "CouplingWeights",
     "DegenerateCalibrationError",
-    "DensityMatrix2",
     "DetectorModel",
     "GridSpec",
-    "GridWavefunction",
     "InternalConsistencyError",
     "InvalidParameterError",
-    "JointState",
     "MemoryGuardError",
-    "PointerSuperposition",
     "PostselectionError",
     "PRESETS",
     "ProtocolError",
     "ProtocolParams",
     "RunSummary",
-    "SweepPoint",
     "TruncationError",
     "anomaly_report",
-    "apply_block",
-    "apply_sum_coupling",
-    "build_joint_state",
-    "build_rho_alpha",
     "calibrate",
     "cdf",
-    "coupling_weights",
+    "conditional_moments",
     "evolve_joint",
     "evolve_sequential",
     "expectation_sigma_sum",
     "final_amplitudes",
     "first_click",
-    "init_gaussian",
     "moments",
-    "pointer_std",
-    "postselect_probability",
-    "project_all_qubits",
     "run_trials",
-    "second_moment",
-    "shift",
-    "summary_csv_row",
     "sweep_beta",
     "to_calibrated",
-    "to_raw",
-    "trial_rng",
     "write_density",
     "write_histogram",
     "wv_single",
-    "wv_single_trace",
-    "wv_sum",
 ]

@@ -30,7 +30,10 @@ with the second moment obtained by replacing (2k - n) with
 ((n - k - l)^2 + Delta^2).  The denominator is the post-selection
 success probability.  These sums are evaluated directly (O(n^2) terms)
 with exact integer binomials and compensated float summation; n is
-capped at 60, far beyond the regime of interest.
+capped at 60, far beyond the regime of interest.  `conditional_moments`
+is the one place that evaluates them: it returns the probability, mean,
+width and second moment together, so every caller pays for one pass.
+`final_amplitudes` exposes the superposition's terms themselves.
 
 All angles are radians.  All positions are in eigenvalue-scaled pointer
 units (the calibration module maps raw detector coordinates onto them).
@@ -216,16 +219,11 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
     return value
 
 
-def _double_sums(params: ProtocolParams) -> tuple[float, float, float]:
-    """Compensated (numerator_x, numerator_x2, denominator) of the
-    conditional-moment sums."""
-    w = coupling_weights(params)
-    return _double_sums_weights(params.n, w.mu, w.nu, params.delta)
-
-
 def _double_sums_weights(
     n: int, mu: float, nu: float, delta: float
 ) -> tuple[float, float, float]:
+    """Compensated (numerator_x, numerator_x2, denominator) of the
+    conditional-moment sums."""
     den_terms: list[float] = []
     x_terms: list[float] = []
     x2_terms: list[float] = []
@@ -245,72 +243,53 @@ def _double_sums_weights(
     return math.fsum(x_terms), math.fsum(x2_terms), math.fsum(den_terms)
 
 
-def postselect_probability(params: ProtocolParams) -> float:
-    """Probability that one run survives all n post-selections.
+class ConditionalMoments(NamedTuple):
+    """Moments of the final pointer distribution, conditional on passing
+    all n post-selections.
 
-    Equals the squared norm of the unnormalized conditional pointer state,
-    i.e. the denominator of the conditional-moment sums.
+    probability is the post-selection success probability; mean is the
+    weak value of the n-block sum observable, which may lie far outside
+    the eigenvalue range [-n, n]; std is the final pointer width, which
+    can come out below the initial width delta (post-selection can narrow
+    the pointer) or above it; second_moment is <x^2>.
     """
-    _, _, den = _double_sums(params)
+
+    probability: float
+    mean: float
+    std: float
+    second_moment: float
+
+
+def conditional_moments(params: ProtocolParams) -> ConditionalMoments:
+    """Post-selection probability and conditional pointer moments, from one
+    evaluation of the double sums.
+
+    Raises
+    ------
+    PostselectionError
+        If the post-selection denominator is at or below the cutoff.
+    InternalConsistencyError
+        If the probability or the variance evaluates negative beyond
+        tolerance.
+    """
+    w = coupling_weights(params)
+    num, num2, den = _double_sums_weights(params.n, w.mu, w.nu, params.delta)
     if den < -EPS_DENOMINATOR:
         raise InternalConsistencyError(
             f"post-selection probability evaluated to {den:.3e} < 0"
         )
     if den <= EPS_DENOMINATOR:
         raise PostselectionError(
-            "post-selection probability is numerically indistinguishable from zero"
-        )
-    return den
-
-
-def wv_sum(params: ProtocolParams) -> float:
-    """Weak value of the n-block sum observable.
-
-    For the Gaussian pointer this equals the mean <x> of the final
-    conditional pointer distribution, and it may lie far outside the
-    eigenvalue range [-n, n].
-
-    Raises
-    ------
-    PostselectionError
-        If the post-selection denominator is at or below the cutoff.
-    """
-    num, _, den = _double_sums(params)
-    if den <= EPS_DENOMINATOR:
-        raise PostselectionError(
-            f"post-selection denominator {den:.3e} at or below cutoff {EPS_DENOMINATOR:.0e}"
-        )
-    return num / den
-
-
-def second_moment(params: ProtocolParams) -> float:
-    """Conditional second moment <x^2> of the final pointer distribution."""
-    _, num2, den = _double_sums(params)
-    if den <= EPS_DENOMINATOR:
-        raise PostselectionError(
-            f"post-selection denominator {den:.3e} at or below cutoff {EPS_DENOMINATOR:.0e}"
-        )
-    return num2 / den
-
-
-def pointer_std(params: ProtocolParams) -> float:
-    """Final pointer standard deviation sqrt(<x^2> - <x>^2).
-
-    This can come out below the initial width delta (post-selection can
-    narrow the pointer) or above it, depending on the angles.
-    """
-    num, num2, den = _double_sums(params)
-    if den <= EPS_DENOMINATOR:
-        raise PostselectionError(
             f"post-selection denominator {den:.3e} at or below cutoff {EPS_DENOMINATOR:.0e}"
         )
     mean = num / den
-    radicand = num2 / den - mean * mean
+    x2 = num2 / den
+    radicand = x2 - mean * mean
     if radicand < -1e-9:
         raise InternalConsistencyError(
             f"variance evaluated to {radicand:.3e} < 0 beyond tolerance"
         )
-    return math.sqrt(max(radicand, 0.0))
+    return ConditionalMoments(den, mean, math.sqrt(max(radicand, 0.0)), x2)
 
 
 @dataclass(frozen=True)
@@ -334,42 +313,6 @@ class PointerSuperposition:
             raise InvalidParameterError("shifts must increase in steps of 2")
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "amplitudes", amps)
-
-    def _overlap_sums(self) -> tuple[float, float, float]:
-        # Equal-width Gaussian pair integrals: <chi_l | {1, x, x^2} | chi_k>
-        # = gamma_kl * {1, midpoint, midpoint^2 + width^2}.
-        norm_terms: list[float] = []
-        x_terms: list[float] = []
-        x2_terms: list[float] = []
-        s = self.shifts
-        a = self.amplitudes
-        for k in range(s.size):
-            for l in range(s.size):
-                g = _gamma((int(s[k]) - int(s[l])) // 2, self.width)
-                aa = float(a[k]) * float(a[l]) * g
-                mid = (int(s[k]) + int(s[l])) / 2.0
-                norm_terms.append(aa)
-                x_terms.append(aa * mid)
-                x2_terms.append(aa * (mid * mid + self.width * self.width))
-        return math.fsum(x_terms), math.fsum(x2_terms), math.fsum(norm_terms)
-
-    def squared_norm(self) -> float:
-        """Exact squared norm sum_kl a_k a_l gamma_kl of the superposition."""
-        return self._overlap_sums()[2]
-
-    def mean(self) -> float:
-        """Exact normalized mean of |phi(x)|^2 via Gaussian pair integrals."""
-        num, _, den = self._overlap_sums()
-        if den <= EPS_DENOMINATOR:
-            raise PostselectionError("superposition norm is numerically zero")
-        return num / den
-
-    def second_moment(self) -> float:
-        """Exact normalized <x^2> of |phi(x)|^2 via Gaussian pair integrals."""
-        _, num2, den = self._overlap_sums()
-        if den <= EPS_DENOMINATOR:
-            raise PostselectionError("superposition norm is numerically zero")
-        return num2 / den
 
 
 def final_amplitudes(params: ProtocolParams) -> PointerSuperposition:
@@ -396,19 +339,22 @@ class SweepPoint(NamedTuple):
     beta: float
     weak_value: float
     std: float
+    probability: float
 
 
 def sweep_beta(
     n: int, alpha: float, delta: float, beta_grid
 ) -> list[SweepPoint]:
-    """Evaluate (weak value, final pointer std) over a grid of post-selection
-    angles.  Points whose post-selection is numerically orthogonal are
-    emitted with NaN entries rather than raising."""
+    """Evaluate (weak value, final pointer std, post-selection probability)
+    over a grid of post-selection angles.  Points whose post-selection is
+    numerically orthogonal are emitted with NaN entries rather than
+    raising."""
     rows: list[SweepPoint] = []
     for beta in beta_grid:
         params = ProtocolParams(n=n, alpha=alpha, beta=float(beta), delta=delta)
         try:
-            rows.append(SweepPoint(float(beta), wv_sum(params), pointer_std(params)))
+            m = conditional_moments(params)
+            rows.append(SweepPoint(float(beta), m.mean, m.std, m.probability))
         except PostselectionError:
-            rows.append(SweepPoint(float(beta), math.nan, math.nan))
+            rows.append(SweepPoint(float(beta), math.nan, math.nan, math.nan))
     return rows

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    ProtocolParams,
-    expectation_sigma_sum,
-    pointer_std,
-    postselect_probability,
-    wv_sum,
-)
+from .analytic import ProtocolParams, conditional_moments, expectation_sigma_sum, sweep_beta
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -195,9 +189,10 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def cmd_wv(config: ExperimentConfig) -> int:
     """One analytic CSV row for the configured parameters."""
     p = config.params
+    m = conditional_moments(p)
     row = [
         p.alpha, p.beta, p.delta, p.n,
-        wv_sum(p), pointer_std(p), postselect_probability(p),
+        m.mean, m.std, m.probability,
         expectation_sigma_sum(p.n, p.alpha),
     ]
     lines = _header("wv", config)
@@ -219,14 +214,14 @@ def cmd_table(config: ExperimentConfig) -> int:
         "trials,accepted,first_click_x,sim_mean,sim_std,sim_stderr"
     )
     for i, (label, params) in enumerate(sorted(PRESETS.items())):
-        prob = postselect_probability(params)
-        count = max(1, math.ceil(TABLE_TARGET_CLICKS / prob))
+        m = conditional_moments(params)
+        count = max(1, math.ceil(TABLE_TARGET_CLICKS / m.probability))
         grid = GridSpec.for_protocol(params, dx=config.grid.dx)
         summary = run_trials(config.seed + i, count, params, grid, config.detector)
         first = summary.first_click.position if summary.first_click else math.nan
         row = [
             label, params.n, params.alpha, params.beta, params.delta,
-            wv_sum(params), pointer_std(params), prob,
+            m.mean, m.std, m.probability,
             expectation_sigma_sum(params.n, params.alpha),
             summary.trials, summary.accepted, first,
             summary.mean, summary.std, summary.stderr,
@@ -286,19 +281,11 @@ def cmd_sweep(config: ExperimentConfig, beta_min: float, beta_max: float, steps:
         extra={"beta_min": repr(beta_min), "beta_max": repr(beta_max), "steps": steps},
     )
     lines.append("beta,weak_value,pointer_std,probability,initial_width")
-    for beta in np.linspace(beta_min, beta_max, steps):
-        point = ProtocolParams(n=p.n, alpha=p.alpha, beta=float(beta), delta=p.delta)
-        try:
-            row = ",".join(
-                _fmt(v)
-                for v in (
-                    float(beta), wv_sum(point), pointer_std(point),
-                    postselect_probability(point), p.delta,
-                )
-            )
-        except PostselectionError:
-            row = f"{_fmt(float(beta))},,,,{_fmt(p.delta)}"
-        lines.append(row)
+    for point in sweep_beta(p.n, p.alpha, p.delta, np.linspace(beta_min, beta_max, steps)):
+        if math.isnan(point.probability):  # orthogonal post-selection
+            lines.append(f"{_fmt(point.beta)},,,,{_fmt(p.delta)}")
+        else:
+            lines.append(",".join(_fmt(v) for v in (*point, p.delta)))
     _emit(lines, config.output_path)
     return 0
 
@@ -317,18 +304,16 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mean_seq, std_seq = moments(seq)
-    wv = wv_sum(p)
-    std = pointer_std(p)
-    prob = postselect_probability(p)
+    m = conditional_moments(p)
     l2 = math.sqrt(
         float(np.sum(np.abs(seq.amplitudes - joint.amplitudes) ** 2)) * grid.dx
     )
     checks = [
         ("l2_sequential_vs_joint", l2, 1e-9),
         ("probability_sequential_vs_joint", abs(p_seq - p_joint), 1e-9),
-        ("mean_grid_vs_analytic", abs(mean_seq - wv), 1e-6),
-        ("std_grid_vs_analytic", abs(std_seq - std), 1e-6),
-        ("probability_grid_vs_analytic", abs(p_seq - prob), 1e-9),
+        ("mean_grid_vs_analytic", abs(mean_seq - m.mean), 1e-6),
+        ("std_grid_vs_analytic", abs(std_seq - m.std), 1e-6),
+        ("probability_grid_vs_analytic", abs(p_seq - m.probability), 1e-9),
     ]
     lines = _header("oracle", config, extra={"corrupt_mu": repr(corrupt_mu)})
     lines.append("check,value,limit,status")

@@ -20,7 +20,8 @@ class TruncationError(ProtocolError):
 
 
 class MemoryGuardError(ProtocolError):
-    """A joint qubit-pointer state would exceed the entry budget."""
+    """A joint qubit-pointer state would exceed the entry budget, or a
+    Monte Carlo run the accepted-click budget."""
 
 
 class InternalConsistencyError(ProtocolError):

@@ -9,15 +9,18 @@ Two design rules keep the oracle honest:
 
 * Grid spacings satisfy 1/dx = integer, so the unit pointer translations
   of the coupling land exactly on nodes.  Shifts are pure index moves,
-  never interpolations, and preserve amplitudes bit for bit.
+  never interpolations, and preserve amplitudes bit for bit.  `shift` is
+  the only routine that moves amplitudes and checks truncation; both
+  evolutions go through it.
 * The initial Gaussian is cut off hard at 8 sigma (relative mass below
   1e-14) and the domain must extend at least n units beyond that, so no
   shift ever pushes nonzero amplitude off the edge.
 
 The joint-coupling evolution additionally materializes the full
-2^n x nodes state of n qubits sharing one pointer and post-selects every
-qubit at the end; sequential and joint paths must agree, which is the
-protocol's central equivalence.
+2^n x nodes state of n qubits sharing one pointer, written already
+coupled into a single preallocated array, and post-selects every qubit at
+the end; sequential and joint paths must agree, which is the protocol's
+central equivalence.
 """
 from __future__ import annotations
 
@@ -157,27 +160,19 @@ def shift(wf: GridWavefunction, displacement: float) -> GridWavefunction:
     return GridWavefunction(wf.spec, out)
 
 
-def _weighted_block(
+def apply_block(
     wf: GridWavefunction, mu: float, nu: float
 ) -> tuple[GridWavefunction, float]:
-    plus = shift(wf, +1.0)
-    minus = shift(wf, -1.0)
-    out = GridWavefunction(wf.spec, mu * plus.amplitudes + nu * minus.amplitudes)
-    weight = out.squared_norm() / wf.squared_norm()
-    return out, weight
-
-
-def apply_block(
-    wf: GridWavefunction, alpha: float, beta: float
-) -> tuple[GridWavefunction, float]:
-    """One pre-select / couple / post-select block acting on the pointer.
+    """One pre-select / couple / post-select block acting on the pointer,
+    with the block's coupling weights mu and nu (see `coupling_weights`).
 
     Returns the unnormalized output mu * shift(wf, +1) + nu * shift(wf, -1)
     and the block pass weight (output norm^2 over input norm^2).
     """
-    mu = math.cos(alpha) * math.cos(beta)
-    nu = math.sin(alpha) * math.sin(beta)
-    return _weighted_block(wf, mu, nu)
+    plus = shift(wf, +1.0)
+    minus = shift(wf, -1.0)
+    out = GridWavefunction(wf.spec, mu * plus.amplitudes + nu * minus.amplitudes)
+    return out, out.squared_norm() / wf.squared_norm()
 
 
 def evolve_sequential(
@@ -196,26 +191,9 @@ def evolve_sequential(
     wf = init_gaussian(spec, params.delta, 0.0)
     probability = 1.0
     for _ in range(params.n):
-        wf, weight = _weighted_block(wf, w.mu + mu_offset, w.nu)
+        wf, weight = apply_block(wf, w.mu + mu_offset, w.nu)
         probability *= weight
     return wf.normalized(), probability
-
-
-@dataclass
-class JointState:
-    """Full state of n qubits sharing one pointer: one pointer row per
-    qubit bitstring (bit set = |H>), 2^n x node_count complex entries."""
-
-    spec: GridSpec
-    n: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        expected = (2 ** self.n, self.spec.node_count)
-        if self.amplitudes.shape != expected:
-            raise InvalidParameterError(
-                f"expected joint shape {expected}, got {self.amplitudes.shape}"
-            )
 
 
 def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
@@ -235,65 +213,36 @@ def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
         )
 
 
-def build_joint_state(params: ProtocolParams, spec: GridSpec) -> JointState:
-    """Product state (tensor of n pre-selected qubits) x (initial Gaussian)."""
-    _require_domain(params, spec)
-    _check_joint_budget(params, spec)
-    chi = init_gaussian(spec, params.delta, 0.0).amplitudes
-    ca, sa = math.cos(params.alpha), math.sin(params.alpha)
-    n = params.n
-    amps = np.empty((2 ** n, spec.node_count), dtype=complex)
-    for b in range(2 ** n):
-        h = bin(b).count("1")
-        amps[b] = (ca ** h * sa ** (n - h)) * chi
-    return JointState(spec=spec, n=n, amplitudes=amps)
-
-
-def apply_sum_coupling(state: JointState) -> JointState:
-    """Translate each bitstring's pointer row by (#H - #V) units."""
-    q = state.spec.nodes_per_unit
-    out = np.zeros_like(state.amplitudes)
-    for b in range(2 ** state.n):
-        h = bin(b).count("1")
-        k = (2 * h - state.n) * q
-        row = state.amplitudes[b]
-        if k > 0:
-            if np.any(row[-k:] != 0):
-                raise TruncationError("joint shift would leave the domain")
-            out[b, k:] = row[:-k]
-        elif k < 0:
-            if np.any(row[:-k] != 0):
-                raise TruncationError("joint shift would leave the domain")
-            out[b, :k] = row[-k:]
-        else:
-            out[b] = row
-    return JointState(spec=state.spec, n=state.n, amplitudes=out)
-
-
-def project_all_qubits(state: JointState, beta: float) -> tuple[GridWavefunction, float]:
-    """Project every qubit onto the post-selection state and trace the
-    qubits out; returns the unnormalized conditional pointer state and
-    the success probability."""
-    cb, sb = math.cos(beta), math.sin(beta)
-    phi = np.zeros(state.spec.node_count, dtype=complex)
-    for b in range(2 ** state.n):
-        h = bin(b).count("1")
-        phi += (cb ** h * sb ** (state.n - h)) * state.amplitudes[b]
-    wf = GridWavefunction(state.spec, phi)
-    return wf, wf.squared_norm()
-
-
 def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefunction, float]:
     """Joint-coupling route: n pre-selected qubits, one shared pointer,
     single sum coupling, then post-selection of every qubit.
 
+    The coupled state holds one pointer row per qubit bitstring (bit set =
+    |H>), 2^n x node_count complex entries: row b is the initial Gaussian
+    translated by (#H - #V) units and weighted by its pre-selection
+    amplitude.  Projecting every qubit onto the post-selection state and
+    tracing the qubits out leaves the unnormalized conditional pointer
+    state, whose squared norm is the success probability.
+
     Must agree with evolve_sequential; that equivalence is what makes the
     sequential protocol measure the sum observable.
     """
-    state = build_joint_state(params, spec)
-    state = apply_sum_coupling(state)
-    wf, probability = project_all_qubits(state, params.beta)
-    return wf.normalized(), probability
+    _require_domain(params, spec)
+    _check_joint_budget(params, spec)
+    chi = init_gaussian(spec, params.delta, 0.0)
+    n = params.n
+    ca, sa = math.cos(params.alpha), math.sin(params.alpha)
+    state = np.empty((2 ** n, spec.node_count), dtype=complex)
+    for b in range(2 ** n):
+        h = bin(b).count("1")
+        state[b] = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
+    cb, sb = math.cos(params.beta), math.sin(params.beta)
+    phi = np.zeros(spec.node_count, dtype=complex)
+    for b in range(2 ** n):
+        h = bin(b).count("1")
+        phi += (cb ** h * sb ** (n - h)) * state[b]
+    wf = GridWavefunction(spec, phi)
+    return wf.normalized(), wf.squared_norm()
 
 
 def moments(wf: GridWavefunction) -> tuple[float, float]:

@@ -33,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import ProtocolParams, pointer_std
-from .errors import InvalidParameterError
-from .grid import GridSpec, cdf, evolve_sequential, moments
+from .analytic import ProtocolParams, conditional_moments
+from .errors import InvalidParameterError, MemoryGuardError
+from .grid import GridSpec, cdf, evolve_sequential
 
 # spawn_key tag of the acceptance gap walk.
 _ACCEPT_STREAM = 0
@@ -45,6 +45,11 @@ _GAP_BATCH = 32768
 # Largest trial count: trial indices and Philox counters (index + 1) then
 # stay inside int64.
 MAX_TRIALS = 2 ** 63 - 1
+
+# Refuse runs expecting more accepted clicks than this.  A run peaks at
+# about 120 bytes of index, Philox and position arrays per accepted click
+# (measured with tracemalloc), so the budget caps it near 1.2 GB.
+MAX_EXPECTED_CLICKS = 10 ** 7
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
 # as in numpy's Philox.
@@ -119,8 +124,6 @@ class _ConditionalSampler:
     probability: float
     positions: np.ndarray = field(repr=False)
     cdf: np.ndarray = field(repr=False)
-    mean: float = 0.0
-    std: float = 0.0
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to positions, linear inside each cell."""
@@ -136,14 +139,7 @@ class _ConditionalSampler:
 @lru_cache(maxsize=16)
 def _conditional_sampler(params: ProtocolParams, spec: GridSpec) -> _ConditionalSampler:
     wf, probability = evolve_sequential(params, spec)
-    mean, std = moments(wf)
-    return _ConditionalSampler(
-        probability=probability,
-        positions=spec.positions(),
-        cdf=cdf(wf),
-        mean=mean,
-        std=std,
-    )
+    return _ConditionalSampler(probability=probability, positions=spec.positions(), cdf=cdf(wf))
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -188,14 +184,15 @@ def _check_run(seed: int, trials: int, name: str) -> None:
         raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
 
 
-def _gap_batches(seed: int, probability: float):
-    """The acceptance stream of `seed`: successive batches of geometric gaps
-    between accepted trials."""
+def _gap_batches(seed: int, probability: float, size: int = _GAP_BATCH):
+    """The acceptance stream of `seed`: successive batches of `size`
+    geometric gaps between accepted trials.  numpy draws the gaps one by
+    one, so the stream does not depend on the batch size."""
     gen = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
     )
     while True:
-        yield gen.geometric(probability, size=_GAP_BATCH)
+        yield gen.geometric(probability, size=size)
 
 
 def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
@@ -236,10 +233,17 @@ def run_trials(
     single-click reading of the run).  Zero accepted clicks produce an
     explicit empty summary with NaN statistics, not an error.  `count`
     above MAX_TRIALS or `seed` outside [0, 2**128) raise
-    InvalidParameterError.
+    InvalidParameterError; a run expecting more than MAX_EXPECTED_CLICKS
+    accepted clicks raises MemoryGuardError.
     """
     _check_run(seed, count, "count")
     sampler = _conditional_sampler(params, spec)
+    expected = count * min(sampler.probability, 1.0)
+    if expected > MAX_EXPECTED_CLICKS:
+        raise MemoryGuardError(
+            f"{count} trials at pass probability {sampler.probability:.3e} expect "
+            f"{expected:.3e} clicks, over the {MAX_EXPECTED_CLICKS} budget; reduce the trials"
+        )
     indices = _accepted_indices(seed, count, sampler.probability)
     accepted = int(indices.size)
     if accepted == 0:
@@ -298,7 +302,7 @@ def first_click(
     if sampler.probability >= 1.0:
         idx = 0
     else:
-        idx = int(next(_gap_batches(seed, sampler.probability))[0]) - 1
+        idx = int(next(_gap_batches(seed, sampler.probability, size=1))[0]) - 1
     if idx >= budget:
         return None
     raw = float(sampler.draw(np.asarray([trial_rng(seed, idx).random()]))[0])
@@ -328,7 +332,7 @@ def anomaly_report(summary: RunSummary, params: ProtocolParams) -> AnomalyReport
         raise InvalidParameterError("anomaly report needs at least one accepted click")
     position = summary.first_click.position
     gap = position - params.n
-    uncertainty = pointer_std(params)
+    uncertainty = conditional_moments(params).std
     return AnomalyReport(
         eigenvalue_bound=params.n,
         click_position=position,
@@ -337,13 +341,6 @@ def anomaly_report(summary: RunSummary, params: ProtocolParams) -> AnomalyReport
         anomalous=gap > 0,
         exceeds_uncertainty=gap > uncertainty,
     )
-
-
-def summary_csv_row(summary: RunSummary) -> str:
-    """Fixed-order CSV row: trials, accepted, first_click_x, mean, std, stderr."""
-    first = summary.first_click.position if summary.first_click is not None else math.nan
-    fields = [summary.trials, summary.accepted, first, summary.mean, summary.std, summary.stderr]
-    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in fields)
 
 
 def write_histogram(summary: RunSummary, out) -> None:

@@ -18,17 +18,15 @@ from wvsim import (
     PostselectionError,
     ProtocolParams,
     cdf,
+    conditional_moments,
     evolve_joint,
     evolve_sequential,
     expectation_sigma_sum,
     first_click,
     moments,
-    pointer_std,
-    postselect_probability,
     run_trials,
     sweep_beta,
     wv_single,
-    wv_sum,
 )
 from wvsim.cli import main as cli_main
 
@@ -46,9 +44,8 @@ def test_criterion_01_preset_analytic_reproduction():
     started = time.perf_counter()
     values = {}
     for label, (wv_ref, std_ref) in REFERENCE.items():
-        params = PRESETS[label]
-        wv = wv_sum(params)
-        std = pointer_std(params)
+        m = conditional_moments(PRESETS[label])
+        wv, std = m.mean, m.std
         assert abs(wv - wv_ref) <= 0.05, f"row {label}: weak value {wv} vs {wv_ref}"
         assert abs(std - std_ref) <= 0.05, f"row {label}: pointer std {std} vs {std_ref}"
         values[label] = (wv, std)
@@ -73,7 +70,7 @@ def test_criterion_02_reduction_identity():
             continue
         checked += 1
         p = ProtocolParams(n=1, alpha=a, beta=b, delta=delta)
-        worst = max(worst, abs(wv_sum(p) - wv_single(a, b, delta)))
+        worst = max(worst, abs(conditional_moments(p).mean - wv_single(a, b, delta)))
     elapsed = time.perf_counter() - started
     assert worst < 1e-12
     assert elapsed < 1.0
@@ -103,8 +100,8 @@ def test_criterion_03_sequential_joint_equivalence():
 def test_criterion_04_grid_vs_closed_form_moments():
     details = []
     for label, params in sorted(PRESETS.items()):
-        wv = wv_sum(params)
-        std = pointer_std(params)
+        m = conditional_moments(params)
+        wv, std = m.mean, m.std
         spec = GridSpec.for_protocol(params, dx=0.01)
         wf, _ = evolve_sequential(params, spec)
         mean_g, std_g = moments(wf)
@@ -132,7 +129,7 @@ def test_criterion_05_monte_carlo_convergence():
     started = time.perf_counter()
     spec = GridSpec.for_protocol(ROW_A, dx=0.01)
     detector = DetectorModel()
-    prob = postselect_probability(ROW_A)
+    prob = conditional_moments(ROW_A).probability
     trials = 350_000_000_000
     summary = run_trials(ACCEPT_SEED, trials, ROW_A, spec, detector)
     elapsed = time.perf_counter() - started
@@ -168,8 +165,9 @@ def test_criterion_06_anomaly_of_a_single_click():
     contained = float(c[hi - 1] - c[lo])
     assert contained > 0.995  # derived: 0.9981 of clicks within mean +- 4 std
 
-    gap = wv_sum(ROW_A) - ROW_A.n
-    assert gap > pointer_std(ROW_A)  # 11.7 vs 4.5: anomaly beats uncertainty
+    m = conditional_moments(ROW_A)
+    gap = m.mean - ROW_A.n
+    assert gap > m.std  # 11.7 vs 4.5: anomaly beats uncertainty
 
     result = first_click(ACCEPT_SEED, 10**9, ROW_A, spec, DetectorModel())
     assert result is not None
@@ -185,7 +183,7 @@ def test_criterion_06_anomaly_of_a_single_click():
     _report(
         "anomaly-of-a-single-click",
         f"P(x > {ROW_A.n}) = {tail:.5f}, contained(4 std) = {contained:.5f}, "
-        f"gap = {gap:.2f} > std = {pointer_std(ROW_A):.2f}, "
+        f"gap = {gap:.2f} > std = {m.std:.2f}, "
         f"seeded click at {outcome.position}, {anomalous}/200 seeds anomalous",
     )
 
@@ -203,12 +201,13 @@ def test_criterion_07_coupling_strength_limits():
             continue
         p = ProtocolParams(n=n, alpha=a, beta=b, delta=1e6)
         try:
-            if postselect_probability(p) <= 1e-6:
+            m = conditional_moments(p)
+            if m.probability <= 1e-6:
                 continue
         except PostselectionError:
             continue
         checked += 1
-        worst_weak = max(worst_weak, abs(wv_sum(p) - n * (mu - nu) / (mu + nu)))
+        worst_weak = max(worst_weak, abs(m.mean - n * (mu - nu) / (mu + nu)))
     assert worst_weak < 1e-5
 
     worst_strong = -math.inf
@@ -218,7 +217,7 @@ def test_criterion_07_coupling_strength_limits():
         n = int(rng.integers(1, 8))
         p = ProtocolParams(n=n, alpha=a, beta=b, delta=1e-3)
         try:
-            value = wv_sum(p)
+            value = conditional_moments(p).mean
         except Exception:
             continue
         checked += 1

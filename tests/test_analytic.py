@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from wvsim import (
-    CouplingWeights,
     InvalidParameterError,
     PostselectionError,
     ProtocolParams,
-    build_rho_alpha,
-    coupling_weights,
+    conditional_moments,
     expectation_sigma_sum,
     final_amplitudes,
-    pointer_std,
-    postselect_probability,
-    second_moment,
     sweep_beta,
     wv_single,
+)
+from wvsim.analytic import (
+    CouplingWeights,
+    build_rho_alpha,
+    coupling_weights,
     wv_single_trace,
-    wv_sum,
 )
 
 from conftest import draw_angles, single_denominator
@@ -122,7 +121,7 @@ class TestWvSingle:
 
     def test_reduction_to_sum(self):
         p = ProtocolParams(n=1, alpha=0.62, beta=2.53, delta=5.84)
-        assert wv_sum(p) == wv_single(0.62, 2.53, 5.84)
+        assert conditional_moments(p).mean == wv_single(0.62, 2.53, 5.84)
 
 
 class TestWvSum:
@@ -138,7 +137,7 @@ class TestWvSum:
                 continue
             checked += 1
             p = ProtocolParams(n=1, alpha=a, beta=b, delta=delta)
-            worst = max(worst, abs(wv_sum(p) - wv_single(a, b, delta)))
+            worst = max(worst, abs(conditional_moments(p).mean - wv_single(a, b, delta)))
         assert worst < 1e-12
 
     def test_alpha_beta_symmetry(self):
@@ -147,8 +146,8 @@ class TestWvSum:
             a, b = draw_angles(rng)
             delta = float(rng.uniform(0.3, 10.0))
             try:
-                lhs = wv_sum(ProtocolParams(n=5, alpha=a, beta=b, delta=delta))
-                rhs = wv_sum(ProtocolParams(n=5, alpha=b, beta=a, delta=delta))
+                lhs = conditional_moments(ProtocolParams(n=5, alpha=a, beta=b, delta=delta)).mean
+                rhs = conditional_moments(ProtocolParams(n=5, alpha=b, beta=a, delta=delta)).mean
             except PostselectionError:
                 continue
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -181,12 +180,13 @@ class TestWvSum:
             delta = float(rng.uniform(0.3, 10.0))
             p = ProtocolParams(n=4, alpha=a, beta=b, delta=delta)
             try:
-                if postselect_probability(p) <= 1e-3:
+                m = conditional_moments(p)
+                if m.probability <= 1e-3:
                     continue
-                lhs = wv_sum(p)
-                rhs = wv_sum(
+                lhs = m.mean
+                rhs = conditional_moments(
                     ProtocolParams(n=4, alpha=math.pi / 2 - a, beta=math.pi / 2 - b, delta=delta)
-                )
+                ).mean
             except PostselectionError:
                 continue
             checked += 1
@@ -205,9 +205,10 @@ class TestWvSum:
                 continue
             p = ProtocolParams(n=n, alpha=a, beta=b, delta=1e6)
             try:
-                if postselect_probability(p) <= 1e-6:
+                m = conditional_moments(p)
+                if m.probability <= 1e-6:
                     continue
-                value = wv_sum(p)
+                value = m.mean
             except PostselectionError:
                 continue
             checked += 1
@@ -223,7 +224,7 @@ class TestWvSum:
             n = int(rng.integers(1, 8))
             p = ProtocolParams(n=n, alpha=a, beta=b, delta=1e-3)
             try:
-                value = wv_sum(p)
+                value = conditional_moments(p).mean
             except PostselectionError:
                 continue
             checked += 1
@@ -232,9 +233,9 @@ class TestWvSum:
 
 class TestMoments:
     def test_single_shifted_gaussian(self):
-        p = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
-        assert second_moment(p) == pytest.approx(5.0, abs=1e-12)
-        assert pointer_std(p) == pytest.approx(2.0, abs=1e-12)
+        m = conditional_moments(ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0))
+        assert m.second_moment == pytest.approx(5.0, abs=1e-12)
+        assert m.std == pytest.approx(2.0, abs=1e-12)
 
     def test_variance_nonnegative_random(self):
         rng = np.random.default_rng(53)
@@ -244,17 +245,28 @@ class TestMoments:
             delta = float(rng.uniform(0.2, 10.0))
             p = ProtocolParams(n=n, alpha=a, beta=b, delta=delta)
             try:
-                x2 = second_moment(p)
-                mean = wv_sum(p)
+                m = conditional_moments(p)  # must not raise on the variance
             except PostselectionError:
                 continue
-            assert x2 - mean * mean >= -1e-9
-            pointer_std(p)  # must not raise
+            assert m.second_moment - m.mean * m.mean >= -1e-9
 
     def test_narrowing_below_initial_width(self):
         # The strongly anomalous preset ends up narrower than it started.
         p = ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84)
-        assert pointer_std(p) < p.delta
+        assert conditional_moments(p).std < p.delta
+
+    def test_probability_in_unit_interval(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            a, b = draw_angles(rng)
+            n = int(rng.integers(1, 9))
+            delta = float(rng.uniform(0.2, 10.0))
+            p = ProtocolParams(n=n, alpha=a, beta=b, delta=delta)
+            try:
+                prob = conditional_moments(p).probability
+            except PostselectionError:
+                continue
+            assert 0.0 < prob <= 1.0
 
 
 class TestFinalAmplitudes:
@@ -272,43 +284,6 @@ class TestFinalAmplitudes:
         sup = final_amplitudes(ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84))
         assert sup.shifts.size == 8
         assert sup.shifts[0] == -7 and sup.shifts[-1] == 7
-
-    def test_norm_equals_probability(self):
-        rng = np.random.default_rng(59)
-        for _ in range(200):
-            a, b = draw_angles(rng)
-            n = int(rng.integers(1, 9))
-            delta = float(rng.uniform(0.2, 10.0))
-            p = ProtocolParams(n=n, alpha=a, beta=b, delta=delta)
-            try:
-                prob = postselect_probability(p)
-            except PostselectionError:
-                continue
-            assert abs(final_amplitudes(p).squared_norm() - prob) < 1e-12
-            assert 0.0 < prob <= 1.0
-
-    def test_moment_consistency(self):
-        # Gaussian pair integrals over the superposition must reproduce the
-        # direct double sums.  Both routes carry independently rounded
-        # products, so near-vanishing pass probabilities (which amplify any
-        # term-level roundoff) are excluded.
-        rng = np.random.default_rng(61)
-        checked = 0
-        while checked < 200:
-            a, b = draw_angles(rng)
-            n = int(rng.integers(1, 9))
-            delta = float(rng.uniform(0.2, 10.0))
-            p = ProtocolParams(n=n, alpha=a, beta=b, delta=delta)
-            try:
-                if postselect_probability(p) <= 1e-6:
-                    continue
-                mean = wv_sum(p)
-            except PostselectionError:
-                continue
-            checked += 1
-            sup = final_amplitudes(p)
-            assert abs(sup.mean() - mean) < 1e-10 * (1 + abs(mean))
-            assert abs(sup.second_moment() - second_moment(p)) < 1e-10 * (1 + second_moment(p))
 
 
 class TestExpectation:
@@ -335,7 +310,9 @@ class TestSweepBeta:
         # alpha = pi/2 with beta = 0 makes the block transmission vanish.
         rows = sweep_beta(3, math.pi / 2, 2.0, [0.0, 1.0])
         assert math.isnan(rows[0].weak_value) and math.isnan(rows[0].std)
+        assert math.isnan(rows[0].probability)
         assert not math.isnan(rows[1].weak_value)
+        assert rows[1].probability > 0
 
     def test_row_per_grid_point(self):
         grid = np.linspace(0.5, 2.5, 11)

@@ -11,11 +11,11 @@ from wvsim import (
     PRESETS,
     ProtocolParams,
     calibrate,
+    conditional_moments,
     run_trials,
     to_calibrated,
-    to_raw,
-    wv_sum,
 )
+from wvsim.calibration import to_raw
 
 
 class TestCalibrate:
@@ -83,4 +83,4 @@ class TestSimulatedClosure:
         raw_clicks_mean = raw_offset + raw_scale * summary.mean
         recovered = to_calibrated(cal, raw_clicks_mean)
         stderr = summary.std / math.sqrt(summary.accepted)
-        assert recovered == pytest.approx(wv_sum(params), abs=3 * stderr + 0.05)
+        assert recovered == pytest.approx(conditional_moments(params).mean, abs=3 * stderr + 0.05)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wvsim import analytic
 from wvsim.cli import build_parser, build_config, main, parse_config_file
 
 from conftest import REFERENCE
@@ -206,6 +207,28 @@ class TestOracleCommand:
         ])
         assert code == 3
         assert out.read_text().splitlines()[-1].endswith("FAIL")
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("argv, rows", [
+        (["wv", "--preset", "a"], 1),
+        (["sweep", "2.4", "2.6", "5", "--preset", "a"], 5),
+        (["table"], 4),
+        (["click", "--preset", "d"], 1),
+        (["oracle", "--n", "2", "--alpha", "0.3", "--beta", "0.9", "--delta", "1.5"], 1),
+    ])
+    def test_one_double_sum_per_row(self, monkeypatch, capsys, argv, rows):
+        # Every output row evaluates the closed-form double sums once.
+        calls = []
+        real = analytic._double_sums_weights
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytic, "_double_sums_weights", counting)
+        assert run_cli(argv) == 0
+        assert len(calls) == rows
 
 
 class TestEntryPoint:

@@ -6,29 +6,31 @@ import pytest
 
 from wvsim import (
     GridSpec,
-    GridWavefunction,
     InvalidParameterError,
     MemoryGuardError,
     PRESETS,
     ProtocolParams,
     TruncationError,
-    apply_block,
     cdf,
+    conditional_moments,
     evolve_joint,
     evolve_sequential,
     final_amplitudes,
-    init_gaussian,
     moments,
-    pointer_std,
-    postselect_probability,
-    shift,
     write_density,
-    wv_sum,
 )
+from wvsim.analytic import coupling_weights
+from wvsim.grid import GridWavefunction, apply_block, init_gaussian, shift
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
     return GridSpec(dx=dx, half_span=margin + 8.0 * width)
+
+
+def block(wf, alpha, beta):
+    """apply_block with the coupling weights of the angles (alpha, beta)."""
+    w = coupling_weights(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=1.0))
+    return apply_block(wf, w.mu, w.nu)
 
 
 class TestGridSpec:
@@ -116,7 +118,7 @@ class TestApplyBlock:
     def test_pure_h_passes_whole(self):
         spec = small_spec(width=1.0, margin=3.0)
         wf = init_gaussian(spec, width=1.0)
-        out, weight = apply_block(wf, 0.0, 0.0)
+        out, weight = block(wf, 0.0, 0.0)
         assert weight == pytest.approx(1.0, abs=1e-12)
         mean, _ = moments(out.normalized())
         assert mean == pytest.approx(1.0, abs=1e-10)
@@ -126,7 +128,7 @@ class TestApplyBlock:
         delta = 1.5
         spec = small_spec(width=delta, margin=3.0)
         wf = init_gaussian(spec, width=delta)
-        _, weight = apply_block(wf, math.pi / 4, 3 * math.pi / 4)
+        _, weight = block(wf, math.pi / 4, 3 * math.pi / 4)
         expected = 0.5 - 0.5 * math.exp(-0.5 / (delta * delta))
         assert weight < 1.0
         assert weight == pytest.approx(expected, abs=1e-9)
@@ -138,7 +140,7 @@ class TestApplyBlock:
             delta = float(rng.uniform(0.5, 3.0))
             spec = small_spec(width=delta, margin=3.0)
             wf = init_gaussian(spec, width=delta)
-            _, weight = apply_block(wf, float(a), float(b))
+            _, weight = block(wf, float(a), float(b))
             mu = math.cos(a) * math.cos(b)
             nu = math.sin(a) * math.sin(b)
             expected = mu * mu + nu * nu + 2 * mu * nu * math.exp(-0.5 / (delta * delta))
@@ -151,7 +153,7 @@ class TestApplyBlock:
         wf = init_gaussian(spec, width=params.delta)
         chi = wf.amplitudes.copy()
         for _ in range(params.n):
-            wf, _ = apply_block(wf, params.alpha, params.beta)
+            wf, _ = block(wf, params.alpha, params.beta)
         sup = final_amplitudes(params)
         recombined = np.zeros_like(chi)
         for shift_units, amp in zip(sup.shifts, sup.amplitudes):
@@ -182,9 +184,10 @@ class TestEvolveSequential:
         spec = GridSpec.for_protocol(params, dx=0.02)
         wf, prob = evolve_sequential(params, spec)
         mean, std = moments(wf)
-        assert abs(mean - wv_sum(params)) < 1e-6
-        assert abs(std - pointer_std(params)) < 1e-6
-        assert abs(prob - postselect_probability(params)) < 1e-9
+        m = conditional_moments(params)
+        assert abs(mean - m.mean) < 1e-6
+        assert abs(std - m.std) < 1e-6
+        assert abs(prob - m.probability) < 1e-9
 
     def test_domain_guard(self):
         params = PRESETS["a"]
@@ -219,7 +222,7 @@ class TestEvolveJoint:
             delta = float(rng.uniform(0.5, 4.0))
             params = ProtocolParams(n=n, alpha=float(a), beta=float(b), delta=delta)
             try:
-                if postselect_probability(params) <= 1e-9:
+                if conditional_moments(params).probability <= 1e-9:
                     continue
             except Exception:
                 continue
@@ -305,8 +308,8 @@ class TestConvergenceStudy:
         # errors sit at the truncation floor at every resolution; each must
         # already beat the 1e-6 tolerance, and refining must not grow them.
         params = PRESETS["c"]
-        wv = wv_sum(params)
-        std = pointer_std(params)
+        m = conditional_moments(params)
+        wv, std = m.mean, m.std
         errors = []
         for dx in (0.1, 0.05, 0.025):
             spec = GridSpec.for_protocol(params, dx=dx)
