@@ -9,31 +9,20 @@ post-selected on |psi_b> = cos(b)|H> + sin(b)|V>.  The block is repeated
 n times on the same pointer, so a single pointer reading estimates the
 sum observable with spectrum {-n, -n+2, ..., n}.
 
-With mu = cos(a)cos(b) and nu = sin(a)sin(b), the unnormalized pointer
-state after n blocks is the superposition
+With mu = cos(a)cos(b) and nu = sin(a)sin(b), each block multiplies the
+pointer's momentum amplitude by mu e^{-ip} + nu e^{ip}.  The initial
+momentum density is the normal density of t = 2 Delta p, and with
+F = |mu e^{-ip} + nu e^{ip}|^2 and G = |mu e^{-ip} - nu e^{ip}|^2 every
+conditional moment is an expectation over t:
 
-    phi(x) = sum_k C(n,k) mu^k nu^(n-k) chi(x - (2k - n)),
+    P     = E[F^n]                           (post-selection probability)
+    <x>   = n (mu^2 - nu^2) E[F^(n-1)] / P    (the weak value)
+    <x^2> = E[Delta^2 t^2 F^n + n^2 F^(n-1) G + 4 Delta n mu nu t sin(2p) F^(n-1)] / P
 
-where chi(x) ~ exp(-x^2 / 4 Delta^2) is the initial Gaussian amplitude.
-Because shifted Gaussians are not orthogonal, every conditional moment
-carries the overlap factor
-
-    gamma_kl = exp(-(k - l)^2 / (2 Delta^2)),
-
-and the conditional mean (the weak value read off the pointer) is
-
-             sum_kl C(n,k) C(n,l) mu^(k+l) nu^(2n-k-l) (2k - n) gamma_kl
-    <x>  =  ---------------------------------------------------------- ,
-             sum_kl C(n,k) C(n,l) mu^(k+l) nu^(2n-k-l) gamma_kl
-
-with the second moment obtained by replacing (2k - n) with
-((n - k - l)^2 + Delta^2).  The denominator is the post-selection
-success probability.  These sums are evaluated directly (O(n^2) terms)
-with exact integer binomials and compensated float summation; n is
-capped at 60, far beyond the regime of interest.  `conditional_moments`
-is the one place that evaluates them: it returns the probability, mean,
-width and second moment together, so every caller pays for one pass.
-`final_amplitudes` exposes the superposition's terms themselves.
+Nothing cancels: F and G are sums of two non-negative terms, and the
+variance is expanded about the mean inside the integral.
+`conditional_moments` is the one place that evaluates them; `final_amplitudes`
+gives the position superposition sum_k C(n,k) mu^k nu^(n-k) chi(x - (2k - n)).
 
 All angles are radians.  All positions are in eigenvalue-scaled pointer
 units (the calibration module maps raw detector coordinates onto them).
@@ -41,6 +30,7 @@ units (the calibration module maps raw detector coordinates onto them).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,18 +38,21 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError, PostselectionError
 
-# Denominator cutoff below which post-selection is treated as orthogonal.
-EPS_DENOMINATOR = 1e-12
-
-# Exact integer binomials stay cheap and drift-free up to this block count.
+# Largest block count; QUADRATURE_HALF_WIDTH is sized for it.
 MAX_BLOCKS = 60
 
+# Both coupling weights at or below this are cos/sin roundoff of an
+# orthogonal setting (cos(float(pi/2)) = 6.1e-17): post-selection fails.
+TRIG_ROUNDOFF = 2.0 ** -52
 
-def _gamma(m: int, delta: float) -> float:
-    """Overlap exp(-m^2 / (2 Delta^2)) of unit-normalized Gaussians whose
-    centers differ by 2 m.  Single canonical expression so every code path
-    rounds identically."""
-    return math.exp(-(m * m) * 0.5 / (delta * delta))
+# Trapezoid nodes cover |t| <= A.  The widest integrand, t^(2n+2)
+# exp(-t^2/2) (mu = -nu, large delta), loses below 1e-30 of its integral
+# to the cut and to aliasing at A = 20 and n = MAX_BLOCKS (1e-11 at A = 16).
+QUADRATURE_HALF_WIDTH = 20.0
+
+# Below this width pointer branches no longer overlap (exp(-1/(2 delta^2)) <
+# 2e-22): sampling the oscillations at it bounds the nodes for any delta > 0.
+DECOHERED_DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,23 @@ def build_rho_alpha(alpha: float, delta: float) -> DensityMatrix2:
     if not math.isfinite(alpha):
         raise InvalidParameterError("alpha must be finite")
     c, s = math.cos(alpha), math.sin(alpha)
-    off = _gamma(1, delta) * s * c
+    off = math.exp(-0.5 / (delta * delta)) * s * c
     return DensityMatrix2(np.array([[c * c, off], [off, s * s]], dtype=complex))
+
+
+def _require_overlap(mu: float, nu: float) -> None:
+    """The one orthogonality rule: both coupling weights at trig roundoff."""
+    if abs(mu) <= TRIG_ROUNDOFF and abs(nu) <= TRIG_ROUNDOFF:
+        raise PostselectionError(f"post-selection is orthogonal (mu = {mu:.3e}, nu = {nu:.3e})")
+
+
+def _block_power(a: float, b: float, sin2, cos2):
+    """|a e^{-ip} + b e^{ip}|^2 as a sum of two non-negative terms, exact
+    where a^2 + b^2 + 2ab cos 2p would cancel; symmetric in (a, b) bit for bit."""
+    ab = a * b
+    if ab <= 0.0:
+        return (a + b) ** 2 - 4.0 * ab * sin2
+    return (a - b) ** 2 + 4.0 * ab * cos2
 
 
 def wv_single_trace(alpha: float, beta: float, delta: float) -> float:
@@ -179,39 +187,36 @@ def wv_single_trace(alpha: float, beta: float, delta: float) -> float:
     """
     rho = build_rho_alpha(alpha, delta).entries.real
     cb, sb = math.cos(beta), math.sin(beta)
+    _require_overlap(math.cos(alpha) * cb, math.sin(alpha) * sb)
     proj = ((cb * cb, cb * sb), (cb * sb, sb * sb))
     s3 = (1.0, -1.0)
     num = math.fsum(proj[i][j] * s3[j] * rho[j][i] for i in range(2) for j in range(2))
     den = math.fsum(proj[i][j] * rho[j][i] for i in range(2) for j in range(2))
-    if abs(den) <= EPS_DENOMINATOR:
-        raise PostselectionError("post-selection is orthogonal to the prepared state")
+    if not den > 0.0:
+        raise InternalConsistencyError(f"trace-form probability {den:.3e} lost to rounding")
     return num / den
 
 
 def wv_single(alpha: float, beta: float, delta: float) -> float:
     """Weak value of sigma3 for a single coupling block.
 
-    Returns (mu^2 - nu^2) / (mu^2 + nu^2 + 2 mu nu exp(-1/(2 Delta^2))).
+    Returns (mu^2 - nu^2) / (mu^2 + nu^2 + 2 mu nu f), f = exp(-1/(2 Delta^2)),
+    with the denominator written as a sum of non-negative terms.
 
     Raises
     ------
     PostselectionError
-        If the denominator falls at or below the orthogonality cutoff.
+        If both coupling weights are at trig roundoff (orthogonal setting).
     InternalConsistencyError
         If the closed form and the trace form disagree beyond tolerance.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
+    check = wv_single_trace(alpha, beta, delta)  # validates delta and orthogonality
     mu = math.cos(alpha) * math.cos(beta)
     nu = math.sin(alpha) * math.sin(beta)
-    f = _gamma(1, delta)
-    den = math.fsum([mu * mu, nu * nu, 2.0 * mu * nu * f])
-    if den <= EPS_DENOMINATOR:
-        raise PostselectionError(
-            f"post-selection denominator {den:.3e} at or below cutoff {EPS_DENOMINATOR:.0e}"
-        )
-    value = (mu * mu - nu * nu) / den
-    check = wv_single_trace(alpha, beta, delta)
+    # F averaged over the pointer: E[sin^2 p] = (1 - f) / 2, E[cos^2 p] = (1 + f) / 2.
+    overlap = -0.5 / (delta * delta)
+    den = _block_power(mu, nu, -0.5 * math.expm1(overlap), 0.5 * (1.0 + math.exp(overlap)))
+    value = (mu - nu) * (mu + nu) / den
     if abs(value - check) > 1e-12 * (1.0 + abs(value)):
         raise InternalConsistencyError(
             f"closed form {value!r} and trace form {check!r} disagree"
@@ -219,28 +224,36 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
     return value
 
 
-def _double_sums_weights(
-    n: int, mu: float, nu: float, delta: float
-) -> tuple[float, float, float]:
-    """Compensated (numerator_x, numerator_x2, denominator) of the
-    conditional-moment sums."""
-    den_terms: list[float] = []
-    x_terms: list[float] = []
-    x2_terms: list[float] = []
-    for k in range(n + 1):
-        for l in range(n + 1):
-            # The inner grouping keeps mu <-> nu exchange a bit-exact
-            # symmetry (product commutativity), so swapping the weights
-            # negates the mean identically.
-            w = float(math.comb(n, k) * math.comb(n, l)) * (
-                mu ** (k + l) * nu ** (2 * n - k - l)
-            )
-            g = _gamma(k - l, delta)
-            wg = w * g
-            den_terms.append(wg)
-            x_terms.append(wg * float(2 * k - n))
-            x2_terms.append(wg * ((n - k - l) ** 2 + delta * delta))
-    return math.fsum(x_terms), math.fsum(x2_terms), math.fsum(den_terms)
+def _moment_integrals(n: int, mu: float, nu: float, delta: float) -> tuple[float, float, float]:
+    """(probability, mean, variance) by the trapezoid rule in t = 2 Delta p.
+
+    The integrands are even, so only t >= 0 is sampled.  F^n holds
+    frequencies up to n / Delta; against exp(-t^2/2) the spacing
+    h = 2 pi / (A + n / Delta) keeps aliasing near exp(-A^2/2), so the node
+    count A / h follows from (n, Delta).  Raises PostselectionError if the
+    setting is orthogonal or the probability underflows to a subnormal.
+    """
+    _require_overlap(mu, nu)
+    scale = max(delta, DECOHERED_DELTA)
+    h = 2.0 * math.pi / (QUADRATURE_HALF_WIDTH + n / scale)
+    t = h * np.arange(int(QUADRATURE_HALF_WIDTH / h) + 1)
+    sin_p, cos_p = np.sin(t / (2.0 * scale)), np.cos(t / (2.0 * scale))
+    sin2, cos2 = sin_p * sin_p, cos_p * cos_p
+    w = np.exp(-0.5 * t * t)
+    w[0] *= 0.5
+    w /= w.sum()
+    f = _block_power(mu, nu, sin2, cos2)
+    wf = w * f ** (n - 1)
+    probability = float((wf * f).sum())
+    if probability < sys.float_info.min:
+        raise PostselectionError(f"post-selection probability {probability:.3e} underflows")
+    mean = n * ((mu - nu) * (mu + nu)) * float(wf.sum()) / probability
+    # |(i d/dp - <x>) psi|^2 over w F^(n-1): the variance about the mean, not
+    # a difference of two large second moments.
+    spread = ((delta * t) ** 2 * f
+              + _block_power((n - mean) * mu, -(n + mean) * nu, sin2, cos2)
+              + (8.0 * delta * n * (mu * nu)) * t * sin_p * cos_p)
+    return probability, mean, float((wf * spread).sum()) / probability
 
 
 class ConditionalMoments(NamedTuple):
@@ -262,34 +275,21 @@ class ConditionalMoments(NamedTuple):
 
 def conditional_moments(params: ProtocolParams) -> ConditionalMoments:
     """Post-selection probability and conditional pointer moments, from one
-    evaluation of the double sums.
+    evaluation of the moment integrals.
 
     Raises
     ------
     PostselectionError
-        If the post-selection denominator is at or below the cutoff.
+        If both coupling weights are at trig roundoff (orthogonal setting),
+        or the probability underflows double precision.
     InternalConsistencyError
-        If the probability or the variance evaluates negative beyond
-        tolerance.
+        If the variance evaluates negative.
     """
     w = coupling_weights(params)
-    num, num2, den = _double_sums_weights(params.n, w.mu, w.nu, params.delta)
-    if den < -EPS_DENOMINATOR:
-        raise InternalConsistencyError(
-            f"post-selection probability evaluated to {den:.3e} < 0"
-        )
-    if den <= EPS_DENOMINATOR:
-        raise PostselectionError(
-            f"post-selection denominator {den:.3e} at or below cutoff {EPS_DENOMINATOR:.0e}"
-        )
-    mean = num / den
-    x2 = num2 / den
-    radicand = x2 - mean * mean
-    if radicand < -1e-9:
-        raise InternalConsistencyError(
-            f"variance evaluated to {radicand:.3e} < 0 beyond tolerance"
-        )
-    return ConditionalMoments(den, mean, math.sqrt(max(radicand, 0.0)), x2)
+    probability, mean, variance = _moment_integrals(params.n, w.mu, w.nu, params.delta)
+    if not variance >= 0.0:
+        raise InternalConsistencyError(f"variance evaluated to {variance:.3e} < 0")
+    return ConditionalMoments(probability, mean, math.sqrt(variance), variance + mean * mean)
 
 
 @dataclass(frozen=True)
@@ -346,9 +346,9 @@ def sweep_beta(
     n: int, alpha: float, delta: float, beta_grid
 ) -> list[SweepPoint]:
     """Evaluate (weak value, final pointer std, post-selection probability)
-    over a grid of post-selection angles.  Points whose post-selection is
-    numerically orthogonal are emitted with NaN entries rather than
-    raising."""
+    over a grid of post-selection angles.  Points where conditional_moments
+    raises PostselectionError (an orthogonal setting, or a probability
+    that underflows) are emitted with NaN entries rather than raising."""
     rows: list[SweepPoint] = []
     for beta in beta_grid:
         params = ProtocolParams(n=n, alpha=alpha, beta=float(beta), delta=delta)

@@ -140,7 +140,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if not (0 <= values["seed"] < 2 ** 64):
         raise InvalidParameterError("seed must fit in 64 unsigned bits")
     if not (1 <= values["trials"] <= MAX_TRIALS):
-        raise InvalidParameterError("trials must be in [1, 2**63 - 1]")
+        raise InvalidParameterError("trials must be in [1, 2**63 - 2]")
     params = ProtocolParams(
         n=int(values["n"]), alpha=values["alpha"], beta=values["beta"], delta=values["delta"]
     )

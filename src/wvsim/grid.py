@@ -36,8 +36,8 @@ from .errors import InvalidParameterError, MemoryGuardError, TruncationError
 # Hard support cutoff of the initial Gaussian, in units of its width.
 SUPPORT_SIGMAS = 8.0
 
-# Refuse joint states beyond this many complex entries.
-MAX_JOINT_ENTRIES = 1_000_000_000
+# Refuse joint states beyond this many bytes (2**27 complex128 entries).
+MAX_JOINT_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,10 @@ def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
 
 
 def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
-    entries = (2 ** params.n) * spec.node_count
-    if entries > MAX_JOINT_ENTRIES:
+    size = (2 ** params.n) * spec.node_count * np.dtype(complex).itemsize
+    if size > MAX_JOINT_BYTES:
         raise MemoryGuardError(
-            f"joint state needs {entries} entries, over the {MAX_JOINT_ENTRIES} budget; "
+            f"joint state needs {size} bytes, over the {MAX_JOINT_BYTES}-byte budget; "
             "reduce n or coarsen the grid"
         )
 

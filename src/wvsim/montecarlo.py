@@ -42,9 +42,9 @@ _ACCEPT_STREAM = 0
 
 _GAP_BATCH = 32768
 
-# Largest trial count: trial indices and Philox counters (index + 1) then
-# stay inside int64.
-MAX_TRIALS = 2 ** 63 - 1
+# Largest trial count: indices and Philox counters stay inside int64, and a
+# geometric gap saturated at 2**63 - 1 (numpy, p below ~1e-19) lies past it.
+MAX_TRIALS = 2 ** 63 - 2
 
 # Refuse runs expecting more accepted clicks than this.  A run peaks at
 # about 120 bytes of index, Philox and position arrays per accepted click
@@ -179,7 +179,7 @@ def _first_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
 
 def _check_run(seed: int, trials: int, name: str) -> None:
     if not 1 <= trials <= MAX_TRIALS:
-        raise InvalidParameterError(f"{name} must be in [1, 2**63 - 1], got {trials}")
+        raise InvalidParameterError(f"{name} must be in [1, 2**63 - 2], got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
 

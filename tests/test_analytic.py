@@ -153,8 +153,9 @@ class TestWvSum:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_sign_flip_swapped_weights(self):
-        # Exchanging the two coupling weights flips the sign of the mean.
-        from wvsim.analytic import _double_sums_weights
+        # Exchanging the two coupling weights negates the mean exactly: F, G
+        # and mu nu are symmetric, and (mu - nu)(mu + nu) negates exactly.
+        from wvsim.analytic import _moment_integrals
 
         rng = np.random.default_rng(41)
         for _ in range(200):
@@ -163,11 +164,12 @@ class TestWvSum:
             delta = float(rng.uniform(0.3, 10.0))
             mu = math.cos(a) * math.cos(b)
             nu = math.sin(a) * math.sin(b)
-            num, _, den = _double_sums_weights(n, mu, nu, delta)
-            num_swap, _, den_swap = _double_sums_weights(n, nu, mu, delta)
-            if den <= 1e-6:
+            prob, mean, var = _moment_integrals(n, mu, nu, delta)
+            prob_swap, mean_swap, var_swap = _moment_integrals(n, nu, mu, delta)
+            if prob <= 1e-6:
                 continue
-            assert num / den == pytest.approx(-num_swap / den_swap, abs=1e-12)
+            assert mean == -mean_swap
+            assert prob == prob_swap and var == var_swap
 
     def test_sign_flip_angle_mapping(self):
         # (alpha, beta) -> (pi/2 - alpha, pi/2 - beta) swaps mu and nu up to
@@ -229,6 +231,44 @@ class TestWvSum:
                 continue
             checked += 1
             assert abs(value) <= n + 1e-6
+
+
+class TestReferenceValues:
+    # (preset giving alpha, beta, delta; n; probability, mean, std): the
+    # position-space double sum over the exact weights of the float angles,
+    # evaluated with mpmath at 200 digits and confirmed to 1e-40 at 400.
+    CASES = [
+        ("a", 7, 3.6283371355529224e-07, 18.70494757509497, 4.482443570849799),
+        ("a", 15, 6.646672120765136e-14, 29.400122133551346, 8.568955468713813),
+        ("a", 30, 5.762005482160778e-23, 31.345796234843622, 8.934928590720991),
+        ("a", 60, 4.214916040552094e-34, 38.59376688600972, 9.412774122205642),
+        ("d", 7, 0.33947147661901084, 1.2958244832856431, 3.604805725699192),
+        ("d", 15, 0.1031571620137878, 2.764238746942123, 4.111360897481788),
+        ("d", 30, 0.011814984418174065, 5.503810187685209, 4.919068913115327),
+        ("d", 60, 0.0001752978045191345, 10.965396378794098, 6.224060303964396),
+    ]
+
+    @pytest.mark.parametrize("label, n, probability, mean, std", CASES)
+    def test_literal_values(self, presets, label, n, probability, mean, std):
+        p = presets[label]
+        m = conditional_moments(ProtocolParams(n=n, alpha=p.alpha, beta=p.beta, delta=p.delta))
+        assert m.probability == pytest.approx(probability, rel=1e-13)
+        assert m.mean == pytest.approx(mean, rel=1e-13)
+        assert m.std == pytest.approx(std, rel=1e-13)
+
+    def test_rare_postselection_is_not_orthogonal(self):
+        # nu = 0 and mu = sin(1e-3): every block shifts by +1 with P = mu^14.
+        m = conditional_moments(ProtocolParams(n=7, alpha=0.0, beta=math.pi / 2 - 1e-3, delta=3.09))
+        assert m.probability == pytest.approx(9.999976666686265e-43, rel=1e-13)
+        assert m.mean == pytest.approx(7.0, rel=1e-13)
+        assert m.std == pytest.approx(3.09, rel=1e-13)
+
+    def test_underflowing_probability_raises(self):
+        # P = mu^120 ~ 1e-360 is below the smallest double.
+        with pytest.raises(PostselectionError, match="underflows"):
+            conditional_moments(
+                ProtocolParams(n=60, alpha=0.0, beta=math.pi / 2 - 1e-3, delta=3.09)
+            )
 
 
 class TestMoments:

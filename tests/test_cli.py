@@ -218,15 +218,15 @@ class TestKernelCalls:
         (["oracle", "--n", "2", "--alpha", "0.3", "--beta", "0.9", "--delta", "1.5"], 1),
     ])
     def test_one_double_sum_per_row(self, monkeypatch, capsys, argv, rows):
-        # Every output row evaluates the closed-form double sums once.
+        # Every output row evaluates the closed-form moment integrals once.
         calls = []
-        real = analytic._double_sums_weights
+        real = analytic._moment_integrals
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(analytic, "_double_sums_weights", counting)
+        monkeypatch.setattr(analytic, "_moment_integrals", counting)
         assert run_cli(argv) == 0
         assert len(calls) == rows
 

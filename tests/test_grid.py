@@ -20,7 +20,7 @@ from wvsim import (
     write_density,
 )
 from wvsim.analytic import coupling_weights
-from wvsim.grid import GridWavefunction, apply_block, init_gaussian, shift
+from wvsim.grid import GridWavefunction, _check_joint_budget, apply_block, init_gaussian, shift
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
@@ -253,6 +253,15 @@ class TestEvolveJoint:
         spec = GridSpec.for_protocol(params, dx=0.05)
         with pytest.raises(MemoryGuardError):
             evolve_joint(params, spec)
+
+    def test_memory_guard_in_bytes(self):
+        # n = 13 at dx = 0.001 would be 8192 x 119441 entries, 14.6 GiB, and is
+        # refused before allocating; the n = 7 oracle grid (~245 MB) fits.
+        fits = ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84)
+        _check_joint_budget(fits, GridSpec.for_protocol(fits, dx=0.001))
+        too_big = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
+        with pytest.raises(MemoryGuardError):
+            _check_joint_budget(too_big, GridSpec.for_protocol(too_big, dx=0.001))
 
 
 class TestMomentsAndCdf:

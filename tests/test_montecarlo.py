@@ -169,6 +169,17 @@ class TestRunTrials:
         assert indices.tolist() == [s - 1 for s in sums if s <= MAX_TRIALS]
         assert indices.size > 0 and indices.min() >= 0
 
+    def test_saturated_gap_is_past_every_count(self):
+        # numpy's geometric(p) returns 2**63 - 1 for p below ~1e-19; that gap
+        # lies past MAX_TRIALS, so it is no click.
+        assert _accepted_indices(1, MAX_TRIALS, 1e-25).size == 0
+
+    def test_first_click_ignores_saturated_gap(self):
+        # Grid probability ~1e-42, so the one gap drawn is saturated.
+        params = ProtocolParams(n=7, alpha=0.0, beta=math.pi / 2 - 1e-3, delta=3.09)
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        assert first_click(1, MAX_TRIALS, params, spec, DET) is None
+
     def test_certain_acceptance_distribution(self):
         # alpha = beta = 0 passes every block: each trial clicks, and the
         # clicks are Gaussian around +1 with width two.
