@@ -17,12 +17,7 @@ seed = 101
 index, click = wvsim.first_click(seed, 10**9, params, spec, detector)
 print(f"first accepted click: trial {index}, pixel center x = {click.position}")
 
-summary = wvsim.RunSummary(
-    trials=index + 1, accepted=1, first_click=click,
-    mean=click.position, std=float("nan"), stderr=float("nan"),
-    histogram=((click.position, 1),),
-)
-report = wvsim.anomaly_report(summary, params)
+report = wvsim.anomaly_report(click, params)
 print(f"eigenvalue bound        +{report.eigenvalue_bound}")
 print(f"gap above bound         {report.gap:+.2f}")
 print(f"single-shot uncertainty {report.uncertainty:.2f}")

@@ -30,23 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProtocolParams, conditional_moments, expectation_sigma_sum, sweep_beta
-from .errors import (
-    InternalConsistencyError,
-    InvalidParameterError,
-    MemoryGuardError,
-    PostselectionError,
-    ProtocolError,
-    TruncationError,
-)
+from .errors import InvalidParameterError, ProtocolError
 from .grid import GridSpec, evolve_joint, evolve_sequential, moments
-from .montecarlo import (
-    MAX_TRIALS,
-    DetectorModel,
-    RunSummary,
-    anomaly_report,
-    first_click,
-    run_trials,
-)
+from .montecarlo import MAX_TRIALS, DetectorModel, anomaly_report, first_click, run_trials
 from .presets import PRESETS
 
 DEFAULT_SEED = 101
@@ -250,16 +236,7 @@ def cmd_click(config: ExperimentConfig) -> int:
 
 
 def _single_click_report(config: ExperimentConfig, trial_index: int, outcome) -> list[str]:
-    summary = RunSummary(
-        trials=trial_index + 1,
-        accepted=1,
-        first_click=outcome,
-        mean=outcome.position,
-        std=math.nan,
-        stderr=math.nan,
-        histogram=((outcome.position, 1),),
-    )
-    rep = anomaly_report(summary, config.params)
+    rep = anomaly_report(outcome, config.params)
     header = (
         "trial_index,click_x,raw_x,uncertainty,eigenvalue_bound,gap,anomalous,exceeds_uncertainty"
     )
@@ -297,12 +274,10 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
     make the check fail; it exists as a negative control.
     """
     p, grid = config.params, config.grid
-    try:
-        seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu)
-        joint, p_joint = evolve_joint(p, grid)
-    except MemoryGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # The joint route runs first: its memory guard refuses an oversized
+    # state before the sequential evolution does any work.
+    joint, p_joint = evolve_joint(p, grid)
+    seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu)
     mean_seq, std_seq = moments(seq)
     m = conditional_moments(p)
     l2 = math.sqrt(
@@ -386,9 +361,6 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PostselectionError, TruncationError, MemoryGuardError, InternalConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

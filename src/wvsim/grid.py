@@ -21,6 +21,11 @@ The joint-coupling evolution additionally materializes the full
 coupled into a single preallocated array, and post-selects every qubit at
 the end; sequential and joint paths must agree, which is the protocol's
 central equivalence.
+
+Both routes start from the normalized Gaussian and carry the conditional
+state unnormalized, so the pass probability is the squared norm of the
+final state: the per-block pass weights telescope to it.  Both take that
+norm once, in the same routine, which also normalizes the state.
 """
 from __future__ import annotations
 
@@ -108,10 +113,15 @@ class GridWavefunction:
         return math.fsum(dens) * self.spec.dx
 
     def normalized(self) -> "GridWavefunction":
-        norm = math.sqrt(self.squared_norm())
+        return self._normalized_with_norm()[0]
+
+    def _normalized_with_norm(self) -> tuple["GridWavefunction", float]:
+        """The state scaled to unit norm, and its squared norm before scaling."""
+        squared = self.squared_norm()
+        norm = math.sqrt(squared)
         if norm <= 0:
             raise InvalidParameterError("cannot normalize a zero wavefunction")
-        return GridWavefunction(self.spec, self.amplitudes / norm)
+        return GridWavefunction(self.spec, self.amplitudes / norm), squared
 
 
 def init_gaussian(spec: GridSpec, width: float, center: float = 0.0) -> GridWavefunction:
@@ -160,19 +170,16 @@ def shift(wf: GridWavefunction, displacement: float) -> GridWavefunction:
     return GridWavefunction(wf.spec, out)
 
 
-def apply_block(
-    wf: GridWavefunction, mu: float, nu: float
-) -> tuple[GridWavefunction, float]:
+def apply_block(wf: GridWavefunction, mu: float, nu: float) -> GridWavefunction:
     """One pre-select / couple / post-select block acting on the pointer,
     with the block's coupling weights mu and nu (see `coupling_weights`).
 
-    Returns the unnormalized output mu * shift(wf, +1) + nu * shift(wf, -1)
-    and the block pass weight (output norm^2 over input norm^2).
+    Returns the unnormalized output mu * shift(wf, +1) + nu * shift(wf, -1);
+    its squared norm over the input's is the block's pass weight.
     """
     plus = shift(wf, +1.0)
     minus = shift(wf, -1.0)
-    out = GridWavefunction(wf.spec, mu * plus.amplitudes + nu * minus.amplitudes)
-    return out, out.squared_norm() / wf.squared_norm()
+    return GridWavefunction(wf.spec, mu * plus.amplitudes + nu * minus.amplitudes)
 
 
 def evolve_sequential(
@@ -181,7 +188,9 @@ def evolve_sequential(
     """Run the n-block sequential protocol on the grid.
 
     Returns the normalized final pointer state and the total pass
-    probability (product of the per-block weights).
+    probability: the squared norm of the unnormalized final state, since
+    the initial Gaussian is normalized.  evolve_joint computes its
+    probability the same way.
 
     mu_offset perturbs the +1 coupling amplitude and exists only as a
     negative-control hook for verification tooling; leave it at 0.
@@ -189,11 +198,9 @@ def evolve_sequential(
     _require_domain(params, spec)
     w = coupling_weights(params)
     wf = init_gaussian(spec, params.delta, 0.0)
-    probability = 1.0
     for _ in range(params.n):
-        wf, weight = apply_block(wf, w.mu + mu_offset, w.nu)
-        probability *= weight
-    return wf.normalized(), probability
+        wf = apply_block(wf, w.mu + mu_offset, w.nu)
+    return wf._normalized_with_norm()
 
 
 def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
@@ -241,8 +248,7 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     for b in range(2 ** n):
         h = bin(b).count("1")
         phi += (cb ** h * sb ** (n - h)) * state[b]
-    wf = GridWavefunction(spec, phi)
-    return wf.normalized(), wf.squared_norm()
+    return GridWavefunction(spec, phi)._normalized_with_norm()
 
 
 def moments(wf: GridWavefunction) -> tuple[float, float]:

@@ -20,10 +20,10 @@ Each accepted trial then draws its click position from its own stream,
 the counter-based Philox4x64-10 generator with key = master seed and
 counter = trial index (`trial_rng`), so results are reproducible trial
 by trial and independent of execution order.  Because a Philox output
-block is a pure function of (key, counter), `run_trials` computes the
-first uniform of every accepted trial in one vectorised numpy pass
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
-instead of building one generator per click.
+block is a pure function of (key, counter), `run_trials` and
+`first_click` compute the first uniform of every accepted trial in one
+vectorised numpy pass (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11) instead of building one generator per click.
 """
 from __future__ import annotations
 
@@ -80,28 +80,11 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ClickOutcome:
-    """One trial: either absorbed, or a click with its pixelated position
-    (and the continuous pre-pixelation sample kept for diagnostics)."""
+    """One click: its pixelated position, and the continuous pre-pixelation
+    sample kept for diagnostics."""
 
-    kind: str
-    position: float | None = None
-    raw_position: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("absorbed", "click"):
-            raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
-        if self.kind == "click" and (self.position is None or self.raw_position is None):
-            raise InvalidParameterError("click outcomes carry both positions")
-        if self.kind == "absorbed" and self.position is not None:
-            raise InvalidParameterError("absorbed outcomes carry no position")
-
-    @classmethod
-    def absorbed(cls) -> "ClickOutcome":
-        return cls(kind="absorbed")
-
-    @classmethod
-    def click(cls, raw_position: float, position: float) -> "ClickOutcome":
-        return cls(kind="click", position=position, raw_position=raw_position)
+    position: float
+    raw_position: float
 
 
 @dataclass(frozen=True)
@@ -220,6 +203,16 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _clicks(
+    seed: int, indices: np.ndarray, sampler: _ConditionalSampler, detector: DetectorModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw positions, pixel indices and pixel centers of the clicks of the
+    accepted trials `indices`, each drawn from the trial's own stream."""
+    raw = sampler.draw(_first_uniforms(seed, indices))
+    pixel_idx = detector.pixel_index(raw)
+    return raw, pixel_idx, detector.origin + pixel_idx * detector.pixel_pitch
+
+
 def run_trials(
     seed: int,
     count: int,
@@ -257,10 +250,7 @@ def run_trials(
             histogram=(),
         )
 
-    raw = sampler.draw(_first_uniforms(seed, indices))
-    pixel_idx = detector.pixel_index(raw)
-    positions = detector.origin + pixel_idx * detector.pixel_pitch
-
+    raw, pixel_idx, positions = _clicks(seed, indices, sampler, detector)
     mean = float(np.mean(positions))
     if accepted >= 2:
         std = float(np.std(positions, ddof=1))
@@ -273,11 +263,10 @@ def run_trials(
         (float(detector.origin + k * detector.pixel_pitch), int(c))
         for k, c in zip(uniq, counts)
     )
-    first = ClickOutcome.click(float(raw[0]), float(positions[0]))
     return RunSummary(
         trials=count,
         accepted=accepted,
-        first_click=first,
+        first_click=ClickOutcome(position=float(positions[0]), raw_position=float(raw[0])),
         mean=mean,
         std=std,
         stderr=stderr,
@@ -305,8 +294,8 @@ def first_click(
         idx = int(next(_gap_batches(seed, sampler.probability, size=1))[0]) - 1
     if idx >= budget:
         return None
-    raw = float(sampler.draw(np.asarray([trial_rng(seed, idx).random()]))[0])
-    return idx, ClickOutcome.click(raw, float(detector.pixel_center(raw)))
+    raw, _, positions = _clicks(seed, np.array([idx]), sampler, detector)
+    return idx, ClickOutcome(position=float(positions[0]), raw_position=float(raw[0]))
 
 
 @dataclass(frozen=True)
@@ -322,20 +311,22 @@ class AnomalyReport:
     exceeds_uncertainty: bool
 
 
-def anomaly_report(summary: RunSummary, params: ProtocolParams) -> AnomalyReport:
-    """Judge the run's first click against the eigenvalue range [-n, n].
+def anomaly_report(click: ClickOutcome | None, params: ProtocolParams) -> AnomalyReport:
+    """Judge one click, such as a run's first click or the one `first_click`
+    returns, against the eigenvalue range [-n, n].
 
     gap = click position - n; the click is anomalous when the gap is
     positive, and conclusively so when the gap also exceeds the predicted
-    single-shot uncertainty (the final pointer width)."""
-    if summary.accepted < 1 or summary.first_click is None:
-        raise InvalidParameterError("anomaly report needs at least one accepted click")
-    position = summary.first_click.position
-    gap = position - params.n
+    single-shot uncertainty (the final pointer width).  A missing click
+    (None, as from a run with no accepted trial) raises
+    InvalidParameterError."""
+    if click is None:
+        raise InvalidParameterError("anomaly report needs an accepted click")
+    gap = click.position - params.n
     uncertainty = conditional_moments(params).std
     return AnomalyReport(
         eigenvalue_bound=params.n,
-        click_position=position,
+        click_position=click.position,
         gap=gap,
         uncertainty=uncertainty,
         anomalous=gap > 0,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from wvsim import analytic
+from wvsim import analytic, cli
 from wvsim.cli import build_parser, build_config, main, parse_config_file
 
 from conftest import REFERENCE
@@ -207,6 +207,21 @@ class TestOracleCommand:
         ])
         assert code == 3
         assert out.read_text().splitlines()[-1].endswith("FAIL")
+
+    def test_joint_budget_refuses_before_sequential_work(self, monkeypatch, capsys):
+        # n = 13 at dx = 0.001 needs a 14.6 GiB joint state: the oracle must
+        # refuse it before spending time on the sequential evolution.
+        calls = []
+        real = cli.evolve_sequential
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve_sequential", counting)
+        assert run_cli(["oracle", "--n", "13", "--grid_dx", "0.001"]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestKernelCalls:

@@ -8,6 +8,7 @@ from wvsim import (
     GridSpec,
     InvalidParameterError,
     MemoryGuardError,
+    PostselectionError,
     PRESETS,
     ProtocolParams,
     TruncationError,
@@ -28,9 +29,11 @@ def small_spec(width=1.0, dx=0.05, margin=2.0):
 
 
 def block(wf, alpha, beta):
-    """apply_block with the coupling weights of the angles (alpha, beta)."""
+    """apply_block with the coupling weights of the angles (alpha, beta), and
+    the block's pass weight: output over input squared norm."""
     w = coupling_weights(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=1.0))
-    return apply_block(wf, w.mu, w.nu)
+    out = apply_block(wf, w.mu, w.nu)
+    return out, out.squared_norm() / wf.squared_norm()
 
 
 class TestGridSpec:
@@ -193,6 +196,51 @@ class TestEvolveSequential:
         params = PRESETS["a"]
         with pytest.raises(TruncationError):
             evolve_sequential(params, GridSpec(dx=0.05, half_span=20.0))
+
+    def test_one_norm_per_evolution(self, monkeypatch):
+        # The pass probability is the final state's squared norm, so the
+        # number of compensated sums does not grow with the block count.
+        calls = []
+        real = GridWavefunction.squared_norm
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(GridWavefunction, "squared_norm", counting)
+        counts = []
+        for n in (1, 7):
+            params = ProtocolParams(n=n, alpha=0.62, beta=2.53, delta=2.0)
+            calls.clear()
+            evolve_sequential(params, GridSpec.for_protocol(params, dx=0.05))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
+
+    def test_probability_is_product_of_block_weights(self):
+        # Reference: the product of the per-block pass weights
+        # |apply_block(psi)|^2 / |psi|^2, which telescopes to the final norm.
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 20:
+            a, b = rng.uniform(0, 2 * math.pi, size=2)
+            n = int(rng.integers(1, 11))
+            delta = float(rng.uniform(0.5, 4.0))
+            params = ProtocolParams(n=n, alpha=float(a), beta=float(b), delta=delta)
+            try:
+                conditional_moments(params)
+            except PostselectionError:
+                continue
+            checked += 1
+            spec = GridSpec.for_protocol(params, dx=0.05)
+            w = coupling_weights(params)
+            wf = init_gaussian(spec, width=delta)
+            product = 1.0
+            for _ in range(n):
+                out = apply_block(wf, w.mu, w.nu)
+                product *= out.squared_norm() / wf.squared_norm()
+                wf = out
+            _, prob = evolve_sequential(params, spec)
+            assert prob == pytest.approx(product, rel=1e-12, abs=0)
 
 
 class TestEvolveJoint:

@@ -12,7 +12,6 @@ from wvsim import (
     MemoryGuardError,
     PRESETS,
     ProtocolParams,
-    RunSummary,
     anomaly_report,
     conditional_moments,
     first_click,
@@ -42,16 +41,6 @@ class TestDetectorModel:
     def test_rejects_bad_pitch(self):
         with pytest.raises(InvalidParameterError):
             DetectorModel(pixel_pitch=0.0)
-
-
-class TestClickOutcome:
-    def test_absorbed_carries_no_position(self):
-        with pytest.raises(InvalidParameterError):
-            ClickOutcome(kind="absorbed", position=1.0)
-
-    def test_click_needs_positions(self):
-        with pytest.raises(InvalidParameterError):
-            ClickOutcome(kind="click")
 
 
 class TestTrialStreams:
@@ -101,7 +90,9 @@ class TestRunTrials:
         assert s.accepted <= s.trials
         assert sum(count for _, count in s.histogram) == s.accepted
         assert s.stderr == pytest.approx(s.std / math.sqrt(s.accepted))
-        assert s.first_click.kind == "click"
+        assert s.first_click is not None
+        assert math.isfinite(s.first_click.position)
+        assert math.isfinite(s.first_click.raw_position)
 
     def test_first_click_prefix_stable(self):
         # first_click draws one gap where run_trials draws a batch.  Preset d
@@ -225,37 +216,29 @@ class TestRunTrials:
 
 
 class TestAnomalyReport:
-    def _summary(self, x):
-        click = ClickOutcome.click(raw_position=x, position=x)
-        return RunSummary(
-            trials=1, accepted=1, first_click=click,
-            mean=x, std=math.nan, stderr=math.nan, histogram=((x, 1),),
-        )
+    def _click(self, x):
+        return ClickOutcome(position=x, raw_position=x)
 
     def test_far_outside_spectrum(self):
         params = PRESETS["a"]
-        rep = anomaly_report(self._summary(21.4), params)
+        rep = anomaly_report(self._click(21.4), params)
         assert rep.eigenvalue_bound == 7
         assert rep.gap == pytest.approx(14.4)
         assert rep.uncertainty == pytest.approx(conditional_moments(params).std)
         assert rep.anomalous and rep.exceeds_uncertainty
 
     def test_inside_spectrum(self):
-        rep = anomaly_report(self._summary(1.0), PRESETS["a"])
+        rep = anomaly_report(self._click(1.0), PRESETS["a"])
         assert not rep.anomalous and not rep.exceeds_uncertainty
 
     def test_marginally_outside(self):
         params = PRESETS["a"]
-        rep = anomaly_report(self._summary(8.0), params)
+        rep = anomaly_report(self._click(8.0), params)
         assert rep.anomalous and not rep.exceeds_uncertainty
 
     def test_requires_a_click(self):
-        empty = RunSummary(
-            trials=5, accepted=0, first_click=None,
-            mean=math.nan, std=math.nan, stderr=math.nan, histogram=(),
-        )
         with pytest.raises(InvalidParameterError):
-            anomaly_report(empty, PRESETS["a"])
+            anomaly_report(None, PRESETS["a"])
 
 
 class TestExports:
