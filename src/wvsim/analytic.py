@@ -117,52 +117,6 @@ def coupling_weights(params: ProtocolParams) -> CouplingWeights:
     )
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Validated 2x2 density matrix in the {|H>, |V>} basis."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.abs(m - m.conj().T) <= 1e-12):
-            raise InternalConsistencyError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise InternalConsistencyError("density matrix trace differs from 1 beyond 1e-12")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
-            raise InternalConsistencyError("density matrix has an eigenvalue below -1e-12")
-        object.__setattr__(self, "entries", m)
-
-
-def build_rho_alpha(alpha: float, delta: float) -> DensityMatrix2:
-    """Reduced polarization state after one coupling, before post-selection.
-
-    Tracing the pointer out of cos(a)|H>|chi_+> + sin(a)|V>|chi_-> leaves
-    the populations untouched and damps the coherences by the +1/-1
-    Gaussian overlap exp(-1/(2 Delta^2)).
-
-    Parameters
-    ----------
-    alpha : float
-        Preparation angle in radians.
-    delta : float
-        Pointer width (> 0).
-
-    Returns
-    -------
-    DensityMatrix2
-    """
-    if not (math.isfinite(delta) and delta > 0):
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    if not math.isfinite(alpha):
-        raise InvalidParameterError("alpha must be finite")
-    c, s = math.cos(alpha), math.sin(alpha)
-    off = math.exp(-0.5 / (delta * delta)) * s * c
-    return DensityMatrix2(np.array([[c * c, off], [off, s * s]], dtype=complex))
-
-
 def _require_overlap(mu: float, nu: float) -> None:
     """The one orthogonality rule: both coupling weights at trig roundoff."""
     if abs(mu) <= TRIG_ROUNDOFF and abs(nu) <= TRIG_ROUNDOFF:
@@ -178,25 +132,6 @@ def _block_power(a: float, b: float, sin2, cos2):
     return (a - b) ** 2 + 4.0 * ab * cos2
 
 
-def wv_single_trace(alpha: float, beta: float, delta: float) -> float:
-    """Single-coupling weak value via the density-matrix trace form
-    tr(P sigma3 rho) / tr(P rho) with P the post-selection projector.
-
-    Kept as an independent computation path; `wv_single` checks the two
-    forms against each other on every call.
-    """
-    rho = build_rho_alpha(alpha, delta).entries.real
-    cb, sb = math.cos(beta), math.sin(beta)
-    _require_overlap(math.cos(alpha) * cb, math.sin(alpha) * sb)
-    proj = ((cb * cb, cb * sb), (cb * sb, sb * sb))
-    s3 = (1.0, -1.0)
-    num = math.fsum(proj[i][j] * s3[j] * rho[j][i] for i in range(2) for j in range(2))
-    den = math.fsum(proj[i][j] * rho[j][i] for i in range(2) for j in range(2))
-    if not den > 0.0:
-        raise InternalConsistencyError(f"trace-form probability {den:.3e} lost to rounding")
-    return num / den
-
-
 def wv_single(alpha: float, beta: float, delta: float) -> float:
     """Weak value of sigma3 for a single coupling block.
 
@@ -205,23 +140,22 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
 
     Raises
     ------
+    InvalidParameterError
+        If an angle is not finite or delta is not positive.
     PostselectionError
         If both coupling weights are at trig roundoff (orthogonal setting).
-    InternalConsistencyError
-        If the closed form and the trace form disagree beyond tolerance.
     """
-    check = wv_single_trace(alpha, beta, delta)  # validates delta and orthogonality
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidParameterError("alpha and beta must be finite")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidParameterError(f"delta must be positive, got {delta}")
     mu = math.cos(alpha) * math.cos(beta)
     nu = math.sin(alpha) * math.sin(beta)
+    _require_overlap(mu, nu)
     # F averaged over the pointer: E[sin^2 p] = (1 - f) / 2, E[cos^2 p] = (1 + f) / 2.
     overlap = -0.5 / (delta * delta)
     den = _block_power(mu, nu, -0.5 * math.expm1(overlap), 0.5 * (1.0 + math.exp(overlap)))
-    value = (mu - nu) * (mu + nu) / den
-    if abs(value - check) > 1e-12 * (1.0 + abs(value)):
-        raise InternalConsistencyError(
-            f"closed form {value!r} and trace form {check!r} disagree"
-        )
-    return value
+    return (mu - nu) * (mu + nu) / den
 
 
 def _moment_integrals(n: int, mu: float, nu: float, delta: float) -> tuple[float, float, float]:

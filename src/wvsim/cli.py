@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 invalid input, 2 numerical or physics error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -274,8 +275,8 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
     make the check fail; it exists as a negative control.
     """
     p, grid = config.params, config.grid
-    # The joint route runs first: its memory guard refuses an oversized
-    # state before the sequential evolution does any work.
+    # The joint route runs first: its work budget refuses an oversized
+    # evolution before the sequential evolution does any work.
     joint, p_joint = evolve_joint(p, grid)
     seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu)
     mean_seq, std_seq = moments(seq)
@@ -309,7 +310,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
     common.add_argument("--preset", choices=sorted(PRESETS), help="bundled parameter set")

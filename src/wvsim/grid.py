@@ -16,11 +16,12 @@ Two design rules keep the oracle honest:
   1e-14) and the domain must extend at least n units beyond that, so no
   shift ever pushes nonzero amplitude off the edge.
 
-The joint-coupling evolution additionally materializes the full
-2^n x nodes state of n qubits sharing one pointer, written already
-coupled into a single preallocated array, and post-selects every qubit at
-the end; sequential and joint paths must agree, which is the protocol's
-central equivalence.
+The joint-coupling evolution couples n qubits to one shared pointer at
+once and post-selects every qubit: it builds the pointer row of each of
+the 2^n qubit bitstrings in turn and adds its projection onto the
+post-selected state straight away, so it holds O(nodes) memory while
+doing 2^n x nodes work; sequential and joint paths must agree, which is
+the protocol's central equivalence.
 
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
@@ -41,8 +42,9 @@ from .errors import InvalidParameterError, MemoryGuardError, TruncationError
 # Hard support cutoff of the initial Gaussian, in units of its width.
 SUPPORT_SIGMAS = 8.0
 
-# Refuse joint states beyond this many bytes (2**27 complex128 entries).
-MAX_JOINT_BYTES = 2 ** 31
+# Refuse joint evolutions that would touch more than this many entries
+# (2**n bitstring rows x node_count nodes).
+MAX_JOINT_ENTRIES = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,11 @@ def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
 
 
 def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
-    size = (2 ** params.n) * spec.node_count * np.dtype(complex).itemsize
-    if size > MAX_JOINT_BYTES:
+    entries = (2 ** params.n) * spec.node_count
+    if entries > MAX_JOINT_ENTRIES:
         raise MemoryGuardError(
-            f"joint state needs {size} bytes, over the {MAX_JOINT_BYTES}-byte budget; "
-            "reduce n or coarsen the grid"
+            f"joint evolution touches {entries} entries, over the "
+            f"{MAX_JOINT_ENTRIES}-entry budget; reduce n or coarsen the grid"
         )
 
 
@@ -224,12 +226,13 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     """Joint-coupling route: n pre-selected qubits, one shared pointer,
     single sum coupling, then post-selection of every qubit.
 
-    The coupled state holds one pointer row per qubit bitstring (bit set =
-    |H>), 2^n x node_count complex entries: row b is the initial Gaussian
-    translated by (#H - #V) units and weighted by its pre-selection
-    amplitude.  Projecting every qubit onto the post-selection state and
-    tracing the qubits out leaves the unnormalized conditional pointer
-    state, whose squared norm is the success probability.
+    The coupled state has one pointer row per qubit bitstring (bit set =
+    |H>): row b is the initial Gaussian translated by (#H - #V) units and
+    weighted by its pre-selection amplitude.  Projecting every qubit onto
+    the post-selection state and tracing the qubits out is linear in the
+    rows, so each row is projected as soon as it is built and never
+    stored; the sum is the unnormalized conditional pointer state, whose
+    squared norm is the success probability.
 
     Must agree with evolve_sequential; that equivalence is what makes the
     sequential protocol measure the sum observable.
@@ -239,15 +242,12 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     chi = init_gaussian(spec, params.delta, 0.0)
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
-    state = np.empty((2 ** n, spec.node_count), dtype=complex)
-    for b in range(2 ** n):
-        h = bin(b).count("1")
-        state[b] = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
     cb, sb = math.cos(params.beta), math.sin(params.beta)
     phi = np.zeros(spec.node_count, dtype=complex)
     for b in range(2 ** n):
         h = bin(b).count("1")
-        phi += (cb ** h * sb ** (n - h)) * state[b]
+        row = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
+        phi += (cb ** h * sb ** (n - h)) * row
     return GridWavefunction(spec, phi)._normalized_with_norm()
 
 

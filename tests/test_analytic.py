@@ -13,12 +13,7 @@ from wvsim import (
     sweep_beta,
     wv_single,
 )
-from wvsim.analytic import (
-    CouplingWeights,
-    build_rho_alpha,
-    coupling_weights,
-    wv_single_trace,
-)
+from wvsim.analytic import CouplingWeights, coupling_weights
 
 from conftest import draw_angles, single_denominator
 
@@ -67,35 +62,6 @@ class TestCouplingWeights:
             CouplingWeights(mu=1.5, nu=0.0)
 
 
-class TestRhoAlpha:
-    def test_pure_h(self):
-        rho = build_rho_alpha(0.0, 1.0).entries
-        assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_no_decoherence_limit(self):
-        rho = build_rho_alpha(math.pi / 4, 1e9).entries
-        assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_off_diagonal_value(self):
-        # 0.5 * exp(-0.5) at alpha = pi/4, delta = 1
-        rho = build_rho_alpha(math.pi / 4, 1.0).entries
-        assert rho[0, 1].real == pytest.approx(0.30326532985631671, abs=1e-15)
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(InvalidParameterError):
-            build_rho_alpha(0.3, -1.0)
-
-    def test_density_matrix_invariants(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a, _ = draw_angles(rng)
-            delta = float(rng.uniform(0.05, 30.0))
-            rho = build_rho_alpha(a, delta).entries
-            assert np.allclose(rho, rho.conj().T, atol=1e-12)
-            assert abs(np.trace(rho) - 1.0) <= 1e-12
-            assert np.linalg.eigvalsh(rho).min() >= -1e-12
-
-
 class TestWvSingle:
     def test_eigenstate(self):
         assert wv_single(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -107,17 +73,14 @@ class TestWvSingle:
         with pytest.raises(PostselectionError):
             wv_single(math.pi / 2, 0.0, 1.0)
 
-    def test_trace_form_consistency(self):
-        # Eq-level cross-validation: closed form vs density-matrix trace form.
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 1000:
-            a, b = draw_angles(rng)
-            delta = float(rng.uniform(0.1, 20.0))
-            if single_denominator(a, b, delta) <= 1e-2:
-                continue
-            checked += 1
-            assert abs(wv_single(a, b, delta) - wv_single_trace(a, b, delta)) < 1e-12
+    def test_rejects_nonpositive_width(self):
+        with pytest.raises(InvalidParameterError):
+            wv_single(0.3, 0.5, -1.0)
+
+    def test_rejects_nonfinite_angles(self):
+        for alpha, beta in ((math.inf, 0.5), (0.3, math.nan)):
+            with pytest.raises(InvalidParameterError):
+                wv_single(alpha, beta, 1.0)
 
     def test_reduction_to_sum(self):
         p = ProtocolParams(n=1, alpha=0.62, beta=2.53, delta=5.84)
@@ -255,6 +218,11 @@ class TestReferenceValues:
         assert m.probability == pytest.approx(probability, rel=1e-13)
         assert m.mean == pytest.approx(mean, rel=1e-13)
         assert m.std == pytest.approx(std, rel=1e-13)
+
+    def test_single_block_at_wide_pointer(self):
+        # (mu^2 - nu^2) / (mu^2 + nu^2 + 2 mu nu f) over the exact weights of
+        # the float angles, with mpmath at 60 digits; f = 1 - 5e-15 here.
+        assert wv_single(0.62, 2.19, 1e7) == pytest.approx(-1187.35820303122953, rel=1e-13)
 
     def test_rare_postselection_is_not_orthogonal(self):
         # nu = 0 and mu = sin(1e-3): every block shifts by +1 with P = mu^14.

@@ -53,6 +53,9 @@ class TestConfigFile:
 
 
 class TestConfigPrecedence:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("delta = 2.0\nseed = 9\n")
@@ -209,8 +212,9 @@ class TestOracleCommand:
         assert out.read_text().splitlines()[-1].endswith("FAIL")
 
     def test_joint_budget_refuses_before_sequential_work(self, monkeypatch, capsys):
-        # n = 13 at dx = 0.001 needs a 14.6 GiB joint state: the oracle must
-        # refuse it before spending time on the sequential evolution.
+        # n = 13 at dx = 0.001 touches 8192 x 119441 joint entries, over the
+        # budget: the oracle must refuse it before spending time on the
+        # sequential evolution.
         calls = []
         real = cli.evolve_sequential
 

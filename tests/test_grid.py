@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,13 +304,76 @@ class TestEvolveJoint:
             evolve_joint(params, spec)
 
     def test_memory_guard_in_bytes(self):
-        # n = 13 at dx = 0.001 would be 8192 x 119441 entries, 14.6 GiB, and is
-        # refused before allocating; the n = 7 oracle grid (~245 MB) fits.
+        # The work budget counts entries touched, 2^n x node_count, at the
+        # threshold of the former 2 GiB budget on a materialized complex128
+        # joint state: n = 13 at dx = 0.001 (8192 x 119441 entries) is
+        # refused before any work and the n = 7 oracle grid fits.
         fits = ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84)
         _check_joint_budget(fits, GridSpec.for_protocol(fits, dx=0.001))
         too_big = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
-        with pytest.raises(MemoryGuardError):
+        with pytest.raises(MemoryGuardError, match="budget"):
             _check_joint_budget(too_big, GridSpec.for_protocol(too_big, dx=0.001))
+        for dx in (0.01, 0.001):
+            for n in range(1, 17):
+                params = ProtocolParams(n=n, alpha=0.62, beta=2.53, delta=5.84)
+                spec = GridSpec.for_protocol(params, dx=dx)
+                refused_in_bytes = (2 ** n) * spec.node_count * 16 > 2 ** 31
+                try:
+                    _check_joint_budget(params, spec)
+                    refused = False
+                except MemoryGuardError:
+                    refused = True
+                assert refused == refused_in_bytes, (n, dx)
+
+    def test_matches_materialized_projection(self):
+        # Reference: fill the full 2^n x nodes coupled state first, then
+        # project it, as the joint route did before it streamed the rows.
+        def materialized(params, spec):
+            chi = init_gaussian(spec, params.delta, 0.0)
+            n = params.n
+            ca, sa = math.cos(params.alpha), math.sin(params.alpha)
+            state = np.empty((2 ** n, spec.node_count), dtype=complex)
+            for b in range(2 ** n):
+                h = bin(b).count("1")
+                state[b] = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
+            cb, sb = math.cos(params.beta), math.sin(params.beta)
+            phi = np.zeros(spec.node_count, dtype=complex)
+            for b in range(2 ** n):
+                h = bin(b).count("1")
+                phi += (cb ** h * sb ** (n - h)) * state[b]
+            return GridWavefunction(spec, phi)._normalized_with_norm()
+
+        settings = [PRESETS[label] for label in "abcd"]
+        rng = np.random.default_rng(17)
+        while len(settings) < 14:
+            a, b = rng.uniform(0, 2 * math.pi, size=2)
+            params = ProtocolParams(
+                n=int(rng.integers(1, 9)), alpha=float(a), beta=float(b),
+                delta=float(rng.uniform(0.5, 4.0)),
+            )
+            try:
+                conditional_moments(params)
+            except PostselectionError:
+                continue
+            settings.append(params)
+        for params in settings:
+            spec = GridSpec.for_protocol(params, dx=0.05)
+            wf, prob = evolve_joint(params, spec)
+            ref, ref_prob = materialized(params, spec)
+            assert np.array_equal(wf.amplitudes, ref.amplitudes)
+            assert prob == ref_prob
+
+    def test_memory_stays_linear_in_nodes(self):
+        # 2^10 bitstring rows, but only a few node-sized arrays alive at once.
+        params = ProtocolParams(n=10, alpha=0.62, beta=2.53, delta=1.0)
+        spec = GridSpec.for_protocol(params, dx=0.01)
+        tracemalloc.start()
+        try:
+            evolve_joint(params, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * spec.node_count * 16
 
 
 class TestMomentsAndCdf:
