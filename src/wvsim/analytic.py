@@ -145,12 +145,8 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
     PostselectionError
         If both coupling weights are at trig roundoff (orthogonal setting).
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise InvalidParameterError("alpha and beta must be finite")
-    if not (math.isfinite(delta) and delta > 0):
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    mu = math.cos(alpha) * math.cos(beta)
-    nu = math.sin(alpha) * math.sin(beta)
+    w = coupling_weights(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=delta))
+    mu, nu = w.mu, w.nu
     _require_overlap(mu, nu)
     # F averaged over the pointer: E[sin^2 p] = (1 - f) / 2, E[cos^2 p] = (1 + f) / 2.
     overlap = -0.5 / (delta * delta)
