@@ -21,7 +21,7 @@ conditional moment is an expectation over t:
 
 Nothing cancels: F and G are sums of two non-negative terms, and the
 variance is expanded about the mean inside the integral.
-`conditional_moments` is the one place that evaluates them; `final_amplitudes`
+`_moment_integrals` evaluates them for an array of settings; `final_amplitudes`
 gives the position superposition sum_k C(n,k) mu^k nu^(n-k) chi(x - (2k - n)).
 
 All angles are radians.  All positions are in eigenvalue-scaled pointer
@@ -53,6 +53,9 @@ QUADRATURE_HALF_WIDTH = 20.0
 # Below this width pointer branches no longer overlap (exp(-1/(2 delta^2)) <
 # 2e-22): sampling the oscillations at it bounds the nodes for any delta > 0.
 DECOHERED_DELTA = 0.1
+
+# (points x nodes) entries per array of the moment kernel: bounds its memory.
+CHUNK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,14 @@ def _require_overlap(mu: float, nu: float) -> None:
         raise PostselectionError(f"post-selection is orthogonal (mu = {mu:.3e}, nu = {nu:.3e})")
 
 
-def _block_power(a: float, b: float, sin2, cos2):
+def _block_power(a, b, sin2, cos2):
     """|a e^{-ip} + b e^{ip}|^2 as a sum of two non-negative terms, exact
-    where a^2 + b^2 + 2ab cos 2p would cancel; symmetric in (a, b) bit for bit."""
+    where a^2 + b^2 + 2ab cos 2p would cancel; symmetric in (a, b) bit for bit.
+    float_power squares like Python's float ** 2; numpy's ** 2 may differ."""
     ab = a * b
-    if ab <= 0.0:
-        return (a + b) ** 2 - 4.0 * ab * sin2
-    return (a - b) ** 2 + 4.0 * ab * cos2
+    same_sign = ab > 0.0
+    return (np.float_power(np.where(same_sign, a - b, a + b), 2.0)
+            + 4.0 * ab * np.where(same_sign, cos2, -sin2))
 
 
 def wv_single(alpha: float, beta: float, delta: float) -> float:
@@ -151,19 +155,23 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
     # F averaged over the pointer: E[sin^2 p] = (1 - f) / 2, E[cos^2 p] = (1 + f) / 2.
     overlap = -0.5 / (delta * delta)
     den = _block_power(mu, nu, -0.5 * math.expm1(overlap), 0.5 * (1.0 + math.exp(overlap)))
-    return (mu - nu) * (mu + nu) / den
+    return float((mu - nu) * (mu + nu) / den)
 
 
-def _moment_integrals(n: int, mu: float, nu: float, delta: float) -> tuple[float, float, float]:
-    """(probability, mean, variance) by the trapezoid rule in t = 2 Delta p.
+def _moment_integrals(n: int, mu, nu, delta: float):
+    """(probability, mean, variance, failed) arrays by the trapezoid rule in
+    t = 2 Delta p, for 1-d arrays of weights mu and nu at a shared (n, delta).
 
     The integrands are even, so only t >= 0 is sampled.  F^n holds
     frequencies up to n / Delta; against exp(-t^2/2) the spacing
     h = 2 pi / (A + n / Delta) keeps aliasing near exp(-A^2/2), so the node
-    count A / h follows from (n, Delta).  Raises PostselectionError if the
-    setting is orthogonal or the probability underflows to a subnormal.
+    count A / h follows from (n, Delta) and all points share the nodes.
+    They are evaluated as (points x nodes) arrays of about CHUNK_ENTRIES.
+    failed marks orthogonal settings and probabilities that underflow to a
+    subnormal; raises InternalConsistencyError on any other point whose
+    variance evaluates negative or NaN.
     """
-    _require_overlap(mu, nu)
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     scale = max(delta, DECOHERED_DELTA)
     h = 2.0 * math.pi / (QUADRATURE_HALF_WIDTH + n / scale)
     t = h * np.arange(int(QUADRATURE_HALF_WIDTH / h) + 1)
@@ -172,18 +180,27 @@ def _moment_integrals(n: int, mu: float, nu: float, delta: float) -> tuple[float
     w = np.exp(-0.5 * t * t)
     w[0] *= 0.5
     w /= w.sum()
-    f = _block_power(mu, nu, sin2, cos2)
-    wf = w * f ** (n - 1)
-    probability = float((wf * f).sum())
-    if probability < sys.float_info.min:
-        raise PostselectionError(f"post-selection probability {probability:.3e} underflows")
-    mean = n * ((mu - nu) * (mu + nu)) * float(wf.sum()) / probability
-    # |(i d/dp - <x>) psi|^2 over w F^(n-1): the variance about the mean, not
-    # a difference of two large second moments.
-    spread = ((delta * t) ** 2 * f
-              + _block_power((n - mean) * mu, -(n + mean) * nu, sin2, cos2)
-              + (8.0 * delta * n * (mu * nu)) * t * sin_p * cos_p)
-    return probability, mean, float((wf * spread).sum()) / probability
+    probability, mean, variance = (np.empty(mu.size) for _ in range(3))
+    step = max(1, CHUNK_ENTRIES // t.size)
+    for lo in range(0, mu.size, step):
+        chunk = slice(lo, lo + step)
+        a, b = mu[chunk], nu[chunk]
+        f = _block_power(a[:, None], b[:, None], sin2, cos2)
+        wf = w * f ** (n - 1)
+        p = (wf * f).sum(axis=1)
+        # Failed points divide by 1 so that they raise no warning.
+        p_safe = np.where(p < sys.float_info.min, 1.0, p)
+        m = n * ((a - b) * (a + b)) * wf.sum(axis=1) / p_safe
+        # |(i d/dp - <x>) psi|^2 over w F^(n-1): the variance about the mean, not
+        # a difference of two large second moments.
+        spread = ((delta * t) ** 2 * f
+                  + _block_power(((n - m) * a)[:, None], (-(n + m) * b)[:, None], sin2, cos2)
+                  + (8.0 * delta * n * (a * b))[:, None] * t * sin_p * cos_p)
+        probability[chunk], mean[chunk], variance[chunk] = p, m, (wf * spread).sum(axis=1) / p_safe
+    failed = (np.maximum(abs(mu), abs(nu)) <= TRIG_ROUNDOFF) | (probability < sys.float_info.min)
+    if not ((variance >= 0.0) | failed).all():
+        raise InternalConsistencyError(f"variance evaluated to {variance[~failed].min():.3e} < 0")
+    return probability, mean, variance, failed
 
 
 class ConditionalMoments(NamedTuple):
@@ -204,8 +221,8 @@ class ConditionalMoments(NamedTuple):
 
 
 def conditional_moments(params: ProtocolParams) -> ConditionalMoments:
-    """Post-selection probability and conditional pointer moments, from one
-    evaluation of the moment integrals.
+    """Post-selection probability and conditional pointer moments: the
+    length-1 case of the moment integrals.
 
     Raises
     ------
@@ -216,9 +233,11 @@ def conditional_moments(params: ProtocolParams) -> ConditionalMoments:
         If the variance evaluates negative.
     """
     w = coupling_weights(params)
-    probability, mean, variance = _moment_integrals(params.n, w.mu, w.nu, params.delta)
-    if not variance >= 0.0:
-        raise InternalConsistencyError(f"variance evaluated to {variance:.3e} < 0")
+    _require_overlap(w.mu, w.nu)
+    probability, mean, variance, failed = _moment_integrals(params.n, [w.mu], [w.nu], params.delta)
+    probability, mean, variance = float(probability[0]), float(mean[0]), float(variance[0])
+    if failed[0]:
+        raise PostselectionError(f"post-selection probability {probability:.3e} underflows")
     return ConditionalMoments(probability, mean, math.sqrt(variance), variance + mean * mean)
 
 
@@ -272,19 +291,19 @@ class SweepPoint(NamedTuple):
     probability: float
 
 
-def sweep_beta(
-    n: int, alpha: float, delta: float, beta_grid
-) -> list[SweepPoint]:
+def sweep_beta(n: int, alpha: float, delta: float, beta_grid) -> list[SweepPoint]:
     """Evaluate (weak value, final pointer std, post-selection probability)
-    over a grid of post-selection angles.  Points where conditional_moments
-    raises PostselectionError (an orthogonal setting, or a probability
-    that underflows) are emitted with NaN entries rather than raising."""
-    rows: list[SweepPoint] = []
-    for beta in beta_grid:
-        params = ProtocolParams(n=n, alpha=alpha, beta=float(beta), delta=delta)
-        try:
-            m = conditional_moments(params)
-            rows.append(SweepPoint(float(beta), m.mean, m.std, m.probability))
-        except PostselectionError:
-            rows.append(SweepPoint(float(beta), math.nan, math.nan, math.nan))
-    return rows
+    over a grid of post-selection angles, in one call of the moment kernel.
+    Points where conditional_moments would raise PostselectionError (an
+    orthogonal setting, or a probability that underflows) are emitted with
+    NaN entries rather than raising."""
+    betas = [float(beta) for beta in beta_grid]
+    ProtocolParams(n=n, alpha=alpha, delta=delta,  # checks every point at once
+                   beta=next((beta for beta in betas if not math.isfinite(beta)), 0.0))
+    # math's trig, as in coupling_weights, keeps every weight bit-identical.
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    probability, mean, variance, failed = _moment_integrals(
+        n, [ca * math.cos(beta) for beta in betas], [sa * math.sin(beta) for beta in betas], delta)
+    probability[failed] = mean[failed] = variance[failed] = math.nan
+    return list(map(SweepPoint, betas, mean.tolist(), np.sqrt(variance).tolist(),
+                    probability.tolist()))

@@ -253,17 +253,21 @@ def cmd_sweep(config: ExperimentConfig, beta_min: float, beta_max: float, steps:
     """Weak value, pointer width and probability over a beta grid."""
     if steps < 2:
         raise InvalidParameterError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
+        raise InvalidParameterError("alpha and beta must be finite")
     p = config.params
     lines = _header(
         "sweep", config,
         extra={"beta_min": repr(beta_min), "beta_max": repr(beta_max), "steps": steps},
     )
     lines.append("beta,weak_value,pointer_std,probability,initial_width")
-    for point in sweep_beta(p.n, p.alpha, p.delta, np.linspace(beta_min, beta_max, steps)):
-        if math.isnan(point.probability):  # orthogonal post-selection
-            lines.append(f"{_fmt(point.beta)},,,,{_fmt(p.delta)}")
+    width = _fmt(p.delta)
+    betas = np.linspace(beta_min, beta_max, steps)
+    for beta, wv, std, prob in sweep_beta(p.n, p.alpha, p.delta, betas):
+        if math.isnan(prob):  # orthogonal post-selection
+            lines.append(f"{beta:.17g},,,,{width}")
         else:
-            lines.append(",".join(_fmt(v) for v in (*point, p.delta)))
+            lines.append(f"{beta:.17g},{wv:.17g},{std:.17g},{prob:.17g},{width}")
     _emit(lines, config.output_path)
     return 0
 

@@ -127,8 +127,8 @@ class TestWvSum:
             delta = float(rng.uniform(0.3, 10.0))
             mu = math.cos(a) * math.cos(b)
             nu = math.sin(a) * math.sin(b)
-            prob, mean, var = _moment_integrals(n, mu, nu, delta)
-            prob_swap, mean_swap, var_swap = _moment_integrals(n, nu, mu, delta)
+            (prob,), (mean,), (var,), _ = _moment_integrals(n, [mu], [nu], delta)
+            (prob_swap,), (mean_swap,), (var_swap,), _ = _moment_integrals(n, [nu], [mu], delta)
             if prob <= 1e-6:
                 continue
             assert mean == -mean_swap
@@ -327,3 +327,52 @@ class TestSweepBeta:
         rows = sweep_beta(7, 0.62, 5.8, grid)
         assert len(rows) == 11
         assert [r.beta for r in rows] == pytest.approx(list(grid))
+
+    @pytest.mark.parametrize("n, alpha, delta, grid", [
+        # The six sweeps of the beta_sweep benchmark.
+        *[(n, alpha, delta, np.linspace(0.3, 3.0, 200))
+          for n in (7, 12, 30) for alpha, delta in ((0.62, 5.84), (0.52, 3.09))],
+        # More points than one chunk of the kernel holds, at ~1970 nodes.
+        (60, 0.62, 0.05, np.linspace(-3.0, 3.0, 41)),
+        (7, 0.62, 5.84, np.linspace(-3.0, 3.0, 1001)),
+        # An orthogonal grid: a NaN row at beta = 0, tiny probabilities near it.
+        (60, math.pi / 2, 3.0, np.linspace(-0.5, 0.5, 101)),
+        (60, 0.62, 1e-6, np.linspace(-3.0, 3.0, 101)),
+    ])
+    def test_matches_per_point_loop(self, n, alpha, delta, grid):
+        # Reference: one ProtocolParams and one conditional_moments per beta,
+        # NaN where post-selection fails.  Every field must agree exactly.
+        reference = []
+        for beta in grid:
+            try:
+                m = conditional_moments(ProtocolParams(n=n, alpha=alpha, beta=float(beta), delta=delta))
+                reference.append((float(beta), m.mean, m.std, m.probability))
+            except PostselectionError:
+                reference.append((float(beta), math.nan, math.nan, math.nan))
+        rows = sweep_beta(n, alpha, delta, grid)
+        assert len(rows) == len(reference)
+        for row, want in zip(rows, reference):
+            for got, value in zip(row, want):
+                assert got == value or (math.isnan(got) and math.isnan(value))
+
+    def test_rejects_nonfinite_beta(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            sweep_beta(7, 0.6, 3.0, [math.nan])
+
+    def test_negative_variance_raises(self, monkeypatch):
+        # The kernel's second _block_power call builds the variance integrand;
+        # a negative one must raise, not become a NaN row.
+        from wvsim import InternalConsistencyError, analytic
+
+        real = analytic._block_power
+        calls = []
+
+        def corrupt(a, b, sin2, cos2):
+            calls.append(None)
+            return real(a, b, sin2, cos2) - (1e6 if len(calls) % 2 == 0 else 0.0)
+
+        monkeypatch.setattr(analytic, "_block_power", corrupt)
+        with pytest.raises(InternalConsistencyError, match="variance"):
+            sweep_beta(7, 0.62, 5.84, np.linspace(0.3, 3.0, 5))
+        with pytest.raises(InternalConsistencyError, match="variance"):
+            conditional_moments(ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84))
