@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wvsim import (
+    InternalConsistencyError,
     InvalidParameterError,
     PostselectionError,
     ProtocolParams,
@@ -13,6 +14,7 @@ from wvsim import (
     sweep_beta,
     wv_single,
 )
+from wvsim import analytic
 from wvsim.analytic import CouplingWeights, coupling_weights
 
 from conftest import draw_angles, single_denominator
@@ -337,6 +339,7 @@ class TestSweepBeta:
         (7, 0.62, 5.84, np.linspace(-3.0, 3.0, 1001)),
         # An orthogonal grid: a NaN row at beta = 0, tiny probabilities near it.
         (60, math.pi / 2, 3.0, np.linspace(-0.5, 0.5, 101)),
+        # The narrowest pointer at the largest block count.
         (60, 0.62, 1e-6, np.linspace(-3.0, 3.0, 101)),
     ])
     def test_matches_per_point_loop(self, n, alpha, delta, grid):
@@ -362,8 +365,6 @@ class TestSweepBeta:
     def test_negative_variance_raises(self, monkeypatch):
         # The kernel's second _block_power call builds the variance integrand;
         # a negative one must raise, not become a NaN row.
-        from wvsim import InternalConsistencyError, analytic
-
         real = analytic._block_power
         calls = []
 
