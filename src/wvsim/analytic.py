@@ -57,6 +57,10 @@ DECOHERED_DELTA = 0.1
 # (points x nodes) entries per array of the moment kernel: bounds its memory.
 CHUNK_ENTRIES = 2 ** 13
 
+# Declared pointer widths: inside them (delta t)^2 at |t| <= QUADRATURE_HALF_WIDTH
+# neither overflows nor underflows, so the width integrand is finite and positive.
+MIN_DELTA, MAX_DELTA = 1e-150, 1e150
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -71,7 +75,7 @@ class ProtocolParams:
     beta : float
         Post-selection angle in radians.
     delta : float
-        Initial pointer width in eigenvalue-scaled units (> 0).
+        Initial pointer width in eigenvalue-scaled units, in [1e-150, 1e150].
     """
 
     n: int
@@ -88,8 +92,10 @@ class ProtocolParams:
             raise InvalidParameterError(f"n must be <= {MAX_BLOCKS}, got {self.n}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise InvalidParameterError("alpha and beta must be finite")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise InvalidParameterError(f"delta must be positive, got {self.delta}")
+        if not MIN_DELTA <= self.delta <= MAX_DELTA:
+            raise InvalidParameterError(
+                f"delta must be in [{MIN_DELTA:g}, {MAX_DELTA:g}], got {self.delta!r}"
+            )
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues {-n, -n+2, ..., n} of the measured sum observable."""
@@ -145,7 +151,7 @@ def wv_single(alpha: float, beta: float, delta: float) -> float:
     Raises
     ------
     InvalidParameterError
-        If an angle is not finite or delta is not positive.
+        If an angle is not finite or delta is outside [MIN_DELTA, MAX_DELTA].
     PostselectionError
         If both coupling weights are at trig roundoff (orthogonal setting).
     """

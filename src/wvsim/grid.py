@@ -9,19 +9,18 @@ Two design rules keep the oracle honest:
 
 * Grid spacings satisfy 1/dx = integer, so the unit pointer translations
   of the coupling land exactly on nodes.  Shifts are pure index moves,
-  never interpolations, and preserve amplitudes bit for bit.  `shift` is
-  the only routine that moves amplitudes and checks truncation; both
-  evolutions go through it.
+  never interpolations, and preserve amplitudes bit for bit; one helper,
+  `_translation`, computes them and checks truncation for both routes.
 * The initial Gaussian is cut off hard at 8 sigma (relative mass below
   1e-14) and the domain must extend at least n units beyond that, so no
   shift ever pushes nonzero amplitude off the edge.
 
 The joint-coupling evolution couples n qubits to one shared pointer at
-once and post-selects every qubit: it builds the pointer row of each of
-the 2^n qubit bitstrings in turn and adds its projection onto the
-post-selected state straight away, so it holds O(nodes) memory while
-doing 2^n x nodes work; sequential and joint paths must agree, which is
-the protocol's central equivalence.
+once and post-selects every qubit: for each of the 2^n bitstrings in
+turn it weights the (real) initial Gaussian into one reused buffer and
+adds it into a real conditional state at the bitstring's translation, so
+it holds O(nodes) memory while doing 2^n x nodes work; sequential and
+joint paths must agree, which is the protocol's central equivalence.
 
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
@@ -45,6 +44,9 @@ SUPPORT_SIGMAS = 8.0
 # Refuse joint evolutions that would touch more than this many entries
 # (2**n bitstring rows x node_count nodes).
 MAX_JOINT_ENTRIES = 2 ** 27
+
+# Entries per pass of the exact sum: bounds its temporaries and its bins.
+EXACT_SUM_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,10 @@ class GridWavefunction:
         self.amplitudes = amps
 
     def squared_norm(self) -> float:
-        """Riemann squared norm sum |psi_i|^2 dx, via compensated summation
-        so the value is independent of where the support sits on the grid."""
+        """Riemann squared norm sum |psi_i|^2 dx, summed exactly and rounded
+        once, so the value is independent of where the support sits."""
         dens = self.amplitudes.real ** 2 + self.amplitudes.imag ** 2
-        return math.fsum(dens) * self.spec.dx
+        return _exact_sum(dens) * self.spec.dx
 
     def normalized(self) -> "GridWavefunction":
         return self._normalized_with_norm()[0]
@@ -124,6 +126,29 @@ class GridWavefunction:
         if norm <= 0:
             raise InvalidParameterError("cannot normalize a zero wavefunction")
         return GridWavefunction(self.spec, self.amplitudes / norm), squared
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, equal to math.fsum.
+
+    np.frexp gives each value as M 2^(b - 1127), integer |M| < 2^53, bin b >= 1.
+    np.bincount sums M's parts above and below 2^27 per bin, exactly (below
+    2^53 over EXACT_SUM_CHUNK entries); one Python int / int division rounds.
+    """
+    if not np.isfinite(values).all():
+        return float(np.sum(values))  # inf or nan
+    total = 0
+    for start in range(0, values.size, EXACT_SUM_CHUNK):
+        mantissa, exponent = np.frexp(values[start:start + EXACT_SUM_CHUNK])
+        mantissa *= 2.0 ** 53
+        high = np.floor(mantissa * 2.0 ** -27)
+        mantissa -= high * 2.0 ** 27
+        exponent += 1074
+        for part, scale in ((high, 27), (mantissa, 0)):
+            bins = np.bincount(exponent, weights=part)
+            for i in np.flatnonzero(bins).tolist():
+                total += int(bins[i]) << (i + scale)
+    return total / (1 << 1127)
 
 
 def init_gaussian(spec: GridSpec, width: float, center: float = 0.0) -> GridWavefunction:
@@ -139,11 +164,31 @@ def init_gaussian(spec: GridSpec, width: float, center: float = 0.0) -> GridWave
             f"domain half_span {spec.half_span} cannot hold {SUPPORT_SIGMAS} sigma "
             f"support of a width-{width} Gaussian at {center}"
         )
-    x = spec.positions()
-    amps = np.exp(-((x - center) ** 2) / (4.0 * width * width))
-    amps[np.abs(x - center) > SUPPORT_SIGMAS * width] = 0.0
-    wf = GridWavefunction(spec, amps.astype(complex))
-    return wf.normalized()
+    offset = spec.positions() - center
+    inside = np.abs(offset) <= SUPPORT_SIGMAS * width
+    amps = np.zeros(spec.node_count, dtype=complex)
+    amps[inside] = np.exp(-(offset[inside] ** 2) / (4.0 * width * width))
+    return GridWavefunction(spec, amps).normalized()
+
+
+def _translation(amps: np.ndarray, spec: GridSpec, displacement: float) -> tuple[slice, slice]:
+    """Slices (dst, src), out[dst] = amps[src], moving node values `amps` by
+    `displacement`; raises TruncationError if nonzero amplitude would leave."""
+    steps = displacement / spec.dx
+    k = round(steps)
+    if abs(steps - k) > 1e-9:
+        raise InvalidParameterError(
+            f"displacement {displacement} is not an integer multiple of dx={spec.dx}"
+        )
+    if k > 0:
+        if np.any(amps[-k:] != 0):
+            raise TruncationError("shift would push nonzero amplitude past +half_span")
+        return slice(k, None), slice(None, -k)
+    if k < 0:
+        if np.any(amps[:-k] != 0):
+            raise TruncationError("shift would push nonzero amplitude past -half_span")
+        return slice(None, k), slice(-k, None)
+    return slice(None), slice(None)
 
 
 def shift(wf: GridWavefunction, displacement: float) -> GridWavefunction:
@@ -151,24 +196,9 @@ def shift(wf: GridWavefunction, displacement: float) -> GridWavefunction:
 
     Raises TruncationError if any nonzero amplitude would leave the domain.
     """
-    steps = displacement / wf.spec.dx
-    k = round(steps)
-    if abs(steps - k) > 1e-9:
-        raise InvalidParameterError(
-            f"displacement {displacement} is not an integer multiple of dx={wf.spec.dx}"
-        )
-    if k == 0:
-        return GridWavefunction(wf.spec, wf.amplitudes.copy())
-    amps = wf.amplitudes
-    out = np.zeros_like(amps)
-    if k > 0:
-        if np.any(amps[-k:] != 0):
-            raise TruncationError("shift would push nonzero amplitude past +half_span")
-        out[k:] = amps[:-k]
-    else:
-        if np.any(amps[:-k] != 0):
-            raise TruncationError("shift would push nonzero amplitude past -half_span")
-        out[:k] = amps[-k:]
+    dst, src = _translation(wf.amplitudes, wf.spec, displacement)
+    out = np.zeros_like(wf.amplitudes)
+    out[dst] = wf.amplitudes[src]
     return GridWavefunction(wf.spec, out)
 
 
@@ -230,33 +260,37 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     |H>): row b is the initial Gaussian translated by (#H - #V) units and
     weighted by its pre-selection amplitude.  Projecting every qubit onto
     the post-selection state and tracing the qubits out is linear in the
-    rows, so each row is projected as soon as it is built and never
-    stored; the sum is the unnormalized conditional pointer state, whose
-    squared norm is the success probability.
+    rows, so each row is projected as soon as it is built, in bitstring
+    order, as post * (pre * chi) in one reused buffer.  chi is real, so the
+    sum (the complex sum's real part, bit for bit) is the unnormalized
+    conditional pointer state, whose squared norm is the success probability.
 
     Must agree with evolve_sequential; that equivalence is what makes the
     sequential protocol measure the sum observable.
     """
     _require_domain(params, spec)
     _check_joint_budget(params, spec)
-    chi = init_gaussian(spec, params.delta, 0.0)
+    chi = np.ascontiguousarray(init_gaussian(spec, params.delta, 0.0).amplitudes.real)
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)
-    phi = np.zeros(spec.node_count, dtype=complex)
+    phi = np.zeros(spec.node_count)
+    row = np.empty(spec.node_count)
     for b in range(2 ** n):
         h = bin(b).count("1")
-        row = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
-        phi += (cb ** h * sb ** (n - h)) * row
-    return GridWavefunction(spec, phi)._normalized_with_norm()
+        dst, src = _translation(chi, spec, 2 * h - n)
+        np.multiply(chi, ca ** h * sa ** (n - h), out=row)
+        np.multiply(row, cb ** h * sb ** (n - h), out=row)
+        phi[dst] += row[src]
+    return GridWavefunction(spec, phi.astype(complex))._normalized_with_norm()
 
 
 def moments(wf: GridWavefunction) -> tuple[float, float]:
     """Riemann-sum (mean, std) of |psi|^2; expects a normalized input."""
     x = wf.spec.positions()
     dens = (wf.amplitudes.real ** 2 + wf.amplitudes.imag ** 2) * wf.spec.dx
-    mean = float(np.dot(x, dens))
-    var = float(np.dot(x * x, dens)) - mean * mean
+    mean = float(np.sum(x * dens))
+    var = float(np.sum(x * x * dens)) - mean * mean
     return mean, math.sqrt(max(var, 0.0))
 
 

@@ -31,6 +31,29 @@ class TestProtocolParams:
         with pytest.raises(InvalidParameterError):
             ProtocolParams(n=7, alpha=math.inf, beta=0.0, delta=1.0)
 
+    def test_width_domain(self):
+        # Outside [MIN_DELTA, MAX_DELTA] the width integrand overflows
+        # (pointer_std = inf) or underflows (std = 0 at an eigenstate).
+        for delta in (1e160, 1e-200, math.nextafter(analytic.MAX_DELTA, math.inf),
+                      math.nextafter(analytic.MIN_DELTA, 0.0)):
+            with pytest.raises(InvalidParameterError, match="delta must be in"):
+                ProtocolParams(n=7, alpha=0.0, beta=0.0, delta=delta)
+            with pytest.raises(InvalidParameterError):
+                wv_single(0.62, 2.53, delta)
+            with pytest.raises(InvalidParameterError):
+                sweep_beta(7, 0.62, delta, [2.53])
+
+    @pytest.mark.parametrize("delta", [analytic.MIN_DELTA, analytic.MAX_DELTA])
+    @pytest.mark.parametrize("alpha,beta", [
+        (0.0, 0.0), (math.pi / 2, math.pi / 2), (0.62, 2.53), (0.52, 0.88),
+        (math.pi / 4, math.pi / 4),
+    ])
+    def test_width_finite_and_positive_at_domain_edges(self, alpha, beta, delta):
+        for n in (1, 7, analytic.MAX_BLOCKS):
+            m = conditional_moments(ProtocolParams(n=n, alpha=alpha, beta=beta, delta=delta))
+            assert math.isfinite(m.std) and m.std > 0.0
+            assert math.isfinite(m.mean) and 0.0 < m.probability
+
     def test_spectrum(self):
         p = ProtocolParams(n=7, alpha=0.0, beta=0.0, delta=1.0)
         assert p.spectrum().tolist() == [-7, -5, -3, -1, 1, 3, 5, 7]

@@ -103,6 +103,16 @@ class TestWvCommand:
         assert run_cli(["wv", "--delta", "-1"]) == 1
         assert run_cli(["click", "--preset", "d", "--trials", str(2**63)]) == 1
 
+    @pytest.mark.parametrize("delta", ["1e160", "1e-200"])
+    def test_width_outside_domain_is_refused(self, delta, capsys):
+        # Formerly 1e160 printed numpy's overflow warning and pointer_std =
+        # inf with exit 0, and 1e-200 gave an underflowed width.
+        assert run_cli(["wv", "--preset", "a", "--delta", delta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta must be in [1e-150, 1e+150]" in captured.err
+        assert "Warning" not in captured.err
+
 
 class TestTableCommand:
     def test_reference_columns_and_simulation(self, tmp_path):

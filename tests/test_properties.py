@@ -1,8 +1,10 @@
-"""Property tests of the closed-form moment kernel.
+"""Property tests of the closed-form moment kernel, the grid's exact sum
+and CDF, and the Monte Carlo acceptance stream.
 
-Settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles (with the
-orthogonal and eigenstate angles drawn on purpose) and pointer widths
-from 1e-6 to 1e6.  derandomize makes every run draw the same examples.
+Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
+(with the orthogonal and eigenstate angles drawn on purpose) and pointer
+widths from 1e-6 to 1e6.  derandomize makes every run draw the same
+examples.
 """
 import math
 import sys
@@ -13,8 +15,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wvsim import PostselectionError, ProtocolParams, conditional_moments  # noqa: E402
+from wvsim import (  # noqa: E402
+    PRESETS,
+    DetectorModel,
+    GridSpec,
+    PostselectionError,
+    ProtocolParams,
+    cdf,
+    conditional_moments,
+    evolve_sequential,
+    first_click,
+    run_trials,
+)
 from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
+from wvsim.grid import EXACT_SUM_CHUNK, _exact_sum  # noqa: E402
+from wvsim.montecarlo import _accepted_indices, _conditional_sampler  # noqa: E402
 
 blocks = st.integers(1, MAX_BLOCKS)
 angles = st.one_of(
@@ -71,3 +86,98 @@ def test_probability_and_width_in_range(n, alpha, beta, delta):
     # rounds that to within a few ulps either side.
     assert 0.0 < m.probability <= 1.0 + 4 * sys.float_info.epsilon
     assert m.std > 0.0
+
+
+# Doubles of either sign with any exponent: subnormals, zeros and spreads
+# far wider than 53 bits.  Exponents stop at 1000 so no sum overflows.
+wide_floats = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1000)),
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1e-300, 1e-300),
+)
+# Arrays whose exponents share an 80-bit window somewhere in the range, so
+# that rounding and cancellation differ between summation orders.
+windowed_arrays = st.integers(-1080, 920).flatmap(lambda low: st.lists(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(low, low + 80)), max_size=200))
+float_arrays = st.one_of(st.lists(wide_floats, max_size=200), windowed_arrays).map(np.array)
+
+
+@kernel_settings
+@given(values=float_arrays)
+def test_exact_sum_equals_fsum(values):
+    assert _exact_sum(values) == math.fsum(values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    pattern=st.lists(wide_floats, min_size=1, max_size=40),
+    length=st.sampled_from([1, 2]).flatmap(
+        lambda chunks: st.integers(chunks * EXACT_SUM_CHUNK - 3, chunks * EXACT_SUM_CHUNK + 3)),
+)
+def test_exact_sum_equals_fsum_across_chunks(pattern, length):
+    values = np.resize(np.array(pattern), length)
+    assert _exact_sum(values) == math.fsum(values)
+
+
+@kernel_settings
+@given(n=st.integers(1, 10), alpha=angles, beta=angles,
+       delta=st.floats(0.5, 4.0), dx=st.sampled_from([0.1, 0.05, 0.02]))
+def test_cdf_nondecreasing(n, alpha, beta, delta, dx):
+    params = ProtocolParams(n=n, alpha=alpha, beta=beta, delta=delta)
+    try:
+        conditional_moments(params)
+    except PostselectionError:
+        return
+    wf, _ = evolve_sequential(params, GridSpec.for_protocol(params, dx=dx))
+    assert np.all(np.diff(cdf(wf)) >= 0.0)
+
+
+# Settings of the acceptance stream with a trial count that keeps the
+# expected clicks in the low thousands: p ~ 1.7e-4 (preset c), p ~ 0.34
+# (preset d), p ~ 0.39 (where numpy's geometric switches algorithm) and an
+# eigenstate, where every trial passes.
+stream_settings = st.sampled_from([
+    (PRESETS["c"], 10 ** 7),
+    (PRESETS["d"], 5000),
+    (ProtocolParams(n=1, alpha=0.0, beta=0.9, delta=2.0), 5000),
+    (ProtocolParams(n=3, alpha=0.0, beta=0.0, delta=1.0), 2000),
+])
+seeds = st.integers(0, 2 ** 128 - 1)
+stream_examples = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+DETECTOR = DetectorModel()
+
+
+@stream_examples
+@given(setting=stream_settings, seed=seeds, data=st.data())
+def test_run_trials_prefix_stable(setting, seed, data):
+    params, most = setting
+    large = data.draw(st.integers(1, most))
+    small = data.draw(st.integers(1, large))
+    spec = GridSpec.for_protocol(params, dx=0.05)
+    probability = _conditional_sampler(params, spec).probability
+    head = _accepted_indices(seed, small, probability)
+    whole = _accepted_indices(seed, large, probability)
+    assert np.array_equal(head, whole[whole < small])
+    short = run_trials(seed, small, params, spec, DETECTOR)
+    long = run_trials(seed, large, params, spec, DETECTOR)
+    assert short.accepted == head.size
+    if short.accepted:
+        assert short.first_click == long.first_click
+
+
+@stream_examples
+@given(setting=stream_settings, seed=seeds, data=st.data())
+def test_first_click_is_run_trials_first_click(setting, seed, data):
+    params, most = setting
+    budget = data.draw(st.integers(1, most))
+    spec = GridSpec.for_protocol(params, dx=0.05)
+    found = first_click(seed, budget, params, spec, DETECTOR)
+    run = run_trials(seed, budget, params, spec, DETECTOR)
+    if found is None:
+        assert run.accepted == 0
+    else:
+        index, outcome = found
+        assert outcome == run.first_click
+        probability = _conditional_sampler(params, spec).probability
+        assert index == _accepted_indices(seed, budget, probability)[0]
