@@ -105,8 +105,8 @@ class TestWvCommand:
 
     @pytest.mark.parametrize("delta", ["1e160", "1e-200"])
     def test_width_outside_domain_is_refused(self, delta, capsys):
-        # Formerly 1e160 printed numpy's overflow warning and pointer_std =
-        # inf with exit 0, and 1e-200 gave an underflowed width.
+        # Outside the declared widths the width integrand overflows
+        # (pointer_std = inf) or underflows: refused as invalid input.
         assert run_cli(["wv", "--preset", "a", "--delta", delta]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
