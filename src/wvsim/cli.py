@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ProtocolParams, conditional_moments, expectation_sigma_sum, sweep_beta
-from .errors import InvalidParameterError, ProtocolError
+from .errors import InvalidParameterError, MemoryGuardError, ProtocolError
 from .grid import GridSpec, evolve_joint, evolve_sequential, moments
 from .montecarlo import MAX_TRIALS, DetectorModel, anomaly_report, first_click, run_trials
 from .presets import PRESETS
@@ -44,6 +44,12 @@ DEFAULT_PIXEL_PITCH = 0.1
 # Ensemble size target of the `table` command: trials per row are chosen
 # so that roughly this many clicks survive post-selection.
 TABLE_TARGET_CLICKS = 5000
+
+# Refuse sweeps of more steps than this.  A sweep peaks at about 360 bytes
+# per step (beta grid, kernel arrays, rows and output text; measured with
+# tracemalloc at 1e5 and 4e5 steps, n = 7 and 30), so the budget caps it
+# near 360 MB.
+MAX_SWEEP_STEPS = 10 ** 6
 
 _CONFIG_KEYS = (
     "n", "alpha", "beta", "delta",
@@ -253,6 +259,10 @@ def cmd_sweep(config: ExperimentConfig, beta_min: float, beta_max: float, steps:
     """Weak value, pointer width and probability over a beta grid."""
     if steps < 2:
         raise InvalidParameterError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise MemoryGuardError(
+            f"sweep of {steps} steps, over the {MAX_SWEEP_STEPS}-step budget; reduce the steps"
+        )
     if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise InvalidParameterError("alpha and beta must be finite")
     p = config.params

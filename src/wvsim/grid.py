@@ -274,11 +274,14 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)
+    # A row's translation depends only on its count of H bits, so the n + 1
+    # translations are checked once, in the order the bitstrings reach them.
+    translations = [_translation(chi, spec, 2 * h - n) for h in range(n + 1)]
     phi = np.zeros(spec.node_count)
     row = np.empty(spec.node_count)
     for b in range(2 ** n):
         h = bin(b).count("1")
-        dst, src = _translation(chi, spec, 2 * h - n)
+        dst, src = translations[h]
         np.multiply(chi, ca ** h * sa ** (n - h), out=row)
         np.multiply(row, cb ** h * sb ** (n - h), out=row)
         phi[dst] += row[src]

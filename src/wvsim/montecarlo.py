@@ -24,6 +24,17 @@ block is a pure function of (key, counter), `run_trials` and
 `first_click` compute the first uniform of every accepted trial in one
 vectorised numpy pass (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11) instead of building one generator per click.
+
+Each step does only the work a run needs, without changing a bit of its
+output.  numpy draws geometric gaps one at a time, so the acceptance
+stream does not depend on how many are drawn per call: the walk draws
+batches sized from the expected click count (six standard deviations
+above it), not a fixed large batch, and draws another batch only if one
+falls short.  The inverse-CDF lookup searches the uniforms in sorted
+order, where numpy's searchsorted starts each search from the previous
+key's result, and scatters the indices back; each index is the same
+whatever the key order.  The histogram is
+built from whole arrays, with the same floating-point operation per bin.
 """
 from __future__ import annotations
 
@@ -40,6 +51,7 @@ from .grid import GridSpec, cdf, evolve_sequential
 # spawn_key tag of the acceptance gap walk.
 _ACCEPT_STREAM = 0
 
+# Most geometric gaps drawn per call of the acceptance walk.
 _GAP_BATCH = 32768
 
 # Largest trial count: indices and Philox counters stay inside int64, and a
@@ -47,8 +59,9 @@ _GAP_BATCH = 32768
 MAX_TRIALS = 2 ** 63 - 2
 
 # Refuse runs expecting more accepted clicks than this.  A run peaks at
-# about 120 bytes of index, Philox and position arrays per accepted click
-# (measured with tracemalloc), so the budget caps it near 1.2 GB.
+# about 121 bytes of index, Philox and position arrays per accepted click
+# (measured with tracemalloc at 1e6 clicks of presets a and d; the peak is
+# the Philox pass), so the budget caps it near 1.2 GB.
 MAX_EXPECTED_CLICKS = 10 ** 7
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
@@ -58,6 +71,10 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+
+# Pixel indices must stay below this in magnitude, so that rounding and the
+# int64 cast are exact.
+_MAX_PIXEL_INDEX = 2.0 ** 62
 
 
 @dataclass(frozen=True)
@@ -70,9 +87,21 @@ class DetectorModel:
     def __post_init__(self):
         if not (math.isfinite(self.pixel_pitch) and self.pixel_pitch > 0):
             raise InvalidParameterError(f"pixel_pitch must be positive, got {self.pixel_pitch}")
+        if not math.isfinite(self.origin):
+            raise InvalidParameterError(f"origin must be finite, got {self.origin}")
 
     def pixel_index(self, x):
-        return np.rint((np.asarray(x) - self.origin) / self.pixel_pitch).astype(int)
+        """Nearest pixel of each position; InvalidParameterError if an index
+        is not finite or reaches 2**62 in magnitude (the int64 cast would
+        overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            index = np.rint((np.asarray(x) - self.origin) / self.pixel_pitch)
+        if not (np.abs(index) < _MAX_PIXEL_INDEX).all():
+            raise InvalidParameterError(
+                f"pixel_pitch {self.pixel_pitch} and origin {self.origin} give a pixel index "
+                f"that is not finite or not below 2**62; use a larger pixel_pitch"
+            )
+        return index.astype(int)
 
     def pixel_center(self, x):
         return self.origin + self.pixel_index(x) * self.pixel_pitch
@@ -111,7 +140,12 @@ class _ConditionalSampler:
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to positions, linear inside each cell."""
         c = self.cdf
-        idx = np.clip(np.searchsorted(c, u), 1, c.size - 1)
+        # searchsorted narrows each search from the previous key's result
+        # when keys ascend; the scatter puts each index back in its key's place.
+        order = np.argsort(u)
+        idx = np.empty(order.size, dtype=np.intp)
+        idx[order] = np.searchsorted(c, u[order])
+        idx = np.clip(idx, 1, c.size - 1)
         lo = c[idx - 1]
         hi = c[idx]
         frac = np.clip((u - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0, 1.0)
@@ -184,9 +218,13 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
     flips, but O(accepted) work instead of O(count))."""
     if probability >= 1.0:
         return np.arange(count, dtype=np.int64)
+    # A run needs one gap per accepted trial plus the one that passes
+    # `count`; six standard deviations above the mean make a second batch rare.
+    expected = count * probability
+    size = int(min(_GAP_BATCH, expected + 6.0 * math.sqrt(expected) + 1.0))
     chunks = []
     total = 0
-    batches = _gap_batches(seed, probability)
+    batches = _gap_batches(seed, probability, size)
     while total < count:
         offsets = np.cumsum(next(batches))
         # Gaps are >= 1, so the offsets rise until one wraps past int64 to a
@@ -259,10 +297,8 @@ def run_trials(
         std = math.nan
         stderr = math.nan
     uniq, counts = np.unique(pixel_idx, return_counts=True)
-    histogram = tuple(
-        (float(detector.origin + k * detector.pixel_pitch), int(c))
-        for k, c in zip(uniq, counts)
-    )
+    centers = detector.origin + uniq * detector.pixel_pitch
+    histogram = tuple(zip(centers.tolist(), counts.tolist()))
     return RunSummary(
         trials=count,
         accepted=accepted,

@@ -129,6 +129,13 @@ class TestTableCommand:
                 row["sim_stderr"]
             )
 
+    def test_pixel_index_overflow_is_refused(self, capsys):
+        # Clicks at ~20 give indices near 2e301, past what int64 holds.
+        assert run_cli(["table", "--pixel_pitch", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not below 2**62; use a larger pixel_pitch" in captured.err
+
 
 class TestClickCommand:
     def test_quick_click(self, tmp_path):
@@ -154,6 +161,14 @@ class TestClickCommand:
         header, rows = read_rows(out)
         row = dict(zip(header, rows[0]))
         assert abs(float(row["click_x"]) - 1.0) < 5.0  # within a few widths of +1
+
+    @pytest.mark.parametrize("pitch", ["1e-300", "5e-324"])
+    def test_pixel_index_overflow_is_refused(self, pitch, capsys):
+        assert run_cli(["click", "--preset", "d", "--pixel_pitch", pitch]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not below 2**62; use a larger pixel_pitch" in captured.err
+        assert "Warning" not in captured.err
 
 
 class TestSweepCommand:
@@ -185,6 +200,13 @@ class TestSweepCommand:
         assert run_cli(["sweep", "0.3", "inf", "5"]) == 1
         err = capsys.readouterr().err
         assert "must be finite" in err and "Warning" not in err
+
+    def test_oversized_sweep_is_refused(self, capsys):
+        steps = cli.MAX_SWEEP_STEPS + 1
+        assert run_cli(["sweep", "--n", "7", "0.3", "3.0", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"over the {cli.MAX_SWEEP_STEPS}-step budget" in captured.err
 
     def test_orthogonal_points_become_empty_fields(self, tmp_path):
         out = tmp_path / "sweep.csv"

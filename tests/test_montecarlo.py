@@ -42,6 +42,22 @@ class TestDetectorModel:
         with pytest.raises(InvalidParameterError):
             DetectorModel(pixel_pitch=0.0)
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(InvalidParameterError, match="origin must be finite"):
+            DetectorModel(origin=origin)
+
+    def test_pixel_index_stays_inside_int64(self):
+        # Indices below 2**62 cast exactly; larger ones, and those whose
+        # division overflows to inf, are refused instead of saturating.
+        assert DetectorModel(pixel_pitch=1.0).pixel_index([2.0**62 - 1024]).tolist() == [
+            2**62 - 1024]
+        for det, x in [(DetectorModel(pixel_pitch=1.0), 2.0**62),
+                       (DetectorModel(pixel_pitch=1e-300), -20.0),
+                       (DetectorModel(pixel_pitch=5e-324), 20.0)]:
+            with pytest.raises(InvalidParameterError, match="not below 2..62"):
+                det.pixel_index([0.0, x])
+
 
 class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 - 1, 2**64 + 3])

@@ -1,5 +1,6 @@
 """Property tests of the closed-form moment kernel, the grid's exact sum
-and CDF, and the Monte Carlo acceptance stream.
+and CDF, and the Monte Carlo acceptance stream, inverse-CDF lookup and
+histogram.
 
 Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
 (with the orthogonal and eigenstate angles drawn on purpose) and pointer
@@ -29,7 +30,13 @@ from wvsim import (  # noqa: E402
 )
 from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
 from wvsim.grid import EXACT_SUM_CHUNK, _exact_sum  # noqa: E402
-from wvsim.montecarlo import _accepted_indices, _conditional_sampler  # noqa: E402
+from wvsim.montecarlo import (  # noqa: E402
+    _ACCEPT_STREAM,
+    _accepted_indices,
+    _clicks,
+    _conditional_sampler,
+    _ConditionalSampler,
+)
 
 blocks = st.integers(1, MAX_BLOCKS)
 angles = st.one_of(
@@ -181,3 +188,82 @@ def test_first_click_is_run_trials_first_click(setting, seed, data):
         assert outcome == run.first_click
         probability = _conditional_sampler(params, spec).probability
         assert index == _accepted_indices(seed, budget, probability)[0]
+
+
+def exact_gap_walk(seed, count, probability):
+    """Accepted indices from geometric gaps drawn one at a time and summed
+    as Python ints."""
+    gen = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,)))
+    indices, total = [], 0
+    while True:
+        total += int(gen.geometric(probability))
+        if total > count:
+            return indices
+        indices.append(total - 1)
+
+
+# Pass probabilities on both sides of 1/3, where numpy's geometric switches
+# from inversion to its search method, with counts expecting up to ~2000 clicks.
+@stream_examples
+@given(probability=st.sampled_from([1e-4, 0.02, 0.2, 1 / 3, 0.34, 0.5, 0.9]),
+       seed=seeds, data=st.data())
+def test_accepted_indices_equal_exact_gap_walk(probability, seed, data):
+    count = data.draw(st.integers(1, int(2000 / probability)))
+    indices = _accepted_indices(seed, count, probability)
+    assert indices.tolist() == exact_gap_walk(seed, count, probability)
+
+
+# At 10 trials of p = 0.0025 the walk expects 0.025 clicks and draws one gap
+# per batch, so each of these seeds, which accept one or two trials, needs
+# a second or third batch.
+@pytest.mark.parametrize("seed", [57, 61, 87, 7407, 16264, 22606])
+def test_accepted_indices_continue_past_a_short_batch(seed):
+    expected = exact_gap_walk(seed, 10, 0.0025)
+    assert expected
+    assert _accepted_indices(seed, 10, 0.0025).tolist() == expected
+
+
+def unsorted_draw(sampler, u):
+    """The inverse-CDF lookup with the keys searched in their given order."""
+    c = sampler.cdf
+    idx = np.clip(np.searchsorted(c, u), 1, c.size - 1)
+    lo = c[idx - 1]
+    hi = c[idx]
+    frac = np.clip((u - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0, 1.0)
+    dx = sampler.positions[1] - sampler.positions[0]
+    return sampler.positions[idx - 1] + frac * dx
+
+
+# Densities with zero stretches inside and at the ends, so the CDF has flat
+# runs of equal entries; half of the uniforms are CDF entries themselves.
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(density=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=2, max_size=60)
+       .filter(lambda d: sum(d) > 0),
+       data=st.data())
+def test_draw_equals_unsorted_search(density, data):
+    dens = np.array(density) / sum(density)
+    c = np.cumsum(dens) - 0.5 * dens
+    sampler = _ConditionalSampler(probability=1.0, positions=np.arange(c.size) * 0.25, cdf=c)
+    picks = data.draw(st.lists(st.integers(0, c.size - 1), max_size=40))
+    free = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+    u = np.array(free + c[picks].tolist())
+    u = u[data.draw(st.permutations(range(u.size)))] if u.size else u
+    assert np.array_equal(sampler.draw(u), unsorted_draw(sampler, u))
+
+
+@stream_examples
+@given(setting=stream_settings, seed=seeds,
+       detector=st.sampled_from([DETECTOR, DetectorModel(pixel_pitch=0.37),
+                                 DetectorModel(pixel_pitch=0.013, origin=-0.3)]))
+def test_histogram_equals_per_bin_reference(setting, seed, detector):
+    params, count = setting
+    spec = GridSpec.for_protocol(params, dx=0.05)
+    sampler = _conditional_sampler(params, spec)
+    indices = _accepted_indices(seed, count, sampler.probability)
+    _, pixel_idx, _ = _clicks(seed, indices, sampler, detector)
+    uniq, counts = np.unique(pixel_idx, return_counts=True)
+    reference = tuple(
+        (float(detector.origin + k * detector.pixel_pitch), int(n)) for k, n in zip(uniq, counts))
+    # repr tells apart signed zeros and numpy scalars, which == would not.
+    assert repr(run_trials(seed, count, params, spec, detector).histogram) == repr(reference)
