@@ -5,6 +5,10 @@ forms: wavefunctions are sampled on a uniform grid and pushed through the
 protocol step by step, so the result can be compared against the analytic
 layer as an independent check.
 
+The pointer state is real at every step: the initial Gaussian is real and
+each block weights it by the real coupling weights mu and nu.  Amplitudes
+are therefore float64 throughout, with no imaginary part to carry.
+
 Two design rules keep the oracle honest:
 
 * Grid spacings satisfy 1/dx = integer, so the unit pointer translations
@@ -17,15 +21,16 @@ Two design rules keep the oracle honest:
 
 The joint-coupling evolution couples n qubits to one shared pointer at
 once and post-selects every qubit: for each of the 2^n bitstrings in
-turn it weights the (real) initial Gaussian into one reused buffer and
-adds it into a real conditional state at the bitstring's translation, so
-it holds O(nodes) memory while doing 2^n x nodes work; sequential and
+turn it weights the initial Gaussian's support into one reused buffer and
+adds it into the conditional state at the bitstring's translation, so it
+holds O(nodes) memory while doing 2^n x support work; sequential and
 joint paths must agree, which is the protocol's central equivalence.
 
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
 final state: the per-block pass weights telescope to it.  Both take that
-norm once, in the same routine, which also normalizes the state.
+norm once, in the same routine, which also normalizes the state.  Both
+refuse grids of more than MAX_GRID_NODES nodes before allocating any.
 """
 from __future__ import annotations
 
@@ -44,6 +49,11 @@ SUPPORT_SIGMAS = 8.0
 # Refuse joint evolutions that would touch more than this many entries
 # (2**n bitstring rows x node_count nodes).
 MAX_JOINT_ENTRIES = 2 ** 27
+
+# Refuse grids of more than this many nodes before any node array exists.
+# Building the conditional sampler peaks at ~40 bytes per node (tracemalloc),
+# so the budget holds a grid evolution near 1 GB.
+MAX_GRID_NODES = 25_000_000
 
 # Entries per pass of the exact sum: bounds its temporaries and its bins.
 EXACT_SUM_CHUNK = 2 ** 16
@@ -97,13 +107,21 @@ class GridSpec:
 
 @dataclass
 class GridWavefunction:
-    """Complex wavefunction sampled on the nodes of `spec`."""
+    """Real wavefunction sampled on the nodes of `spec`.
+
+    Complex input is accepted only with a zero imaginary part, and is
+    stored as its real part."""
 
     spec: GridSpec
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if np.iscomplexobj(amps):
+            if np.any(amps.imag != 0):
+                raise InvalidParameterError("grid amplitudes must be real")
+            amps = amps.real
+        amps = np.ascontiguousarray(amps, dtype=float)
         if amps.shape != (self.spec.node_count,):
             raise InvalidParameterError(
                 f"expected {self.spec.node_count} amplitudes, got shape {amps.shape}"
@@ -113,8 +131,7 @@ class GridWavefunction:
     def squared_norm(self) -> float:
         """Riemann squared norm sum |psi_i|^2 dx, summed exactly and rounded
         once, so the value is independent of where the support sits."""
-        dens = self.amplitudes.real ** 2 + self.amplitudes.imag ** 2
-        return _exact_sum(dens) * self.spec.dx
+        return _exact_sum(self.amplitudes * self.amplitudes) * self.spec.dx
 
     def normalized(self) -> "GridWavefunction":
         return self._normalized_with_norm()[0]
@@ -125,7 +142,9 @@ class GridWavefunction:
         norm = math.sqrt(squared)
         if norm <= 0:
             raise InvalidParameterError("cannot normalize a zero wavefunction")
-        return GridWavefunction(self.spec, self.amplitudes / norm), squared
+        # Times the reciprocal, as numpy divides a complex array by a real
+        # scalar: a plain division would move the last bits of the state.
+        return GridWavefunction(self.spec, self.amplitudes * (1.0 / norm)), squared
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -166,7 +185,7 @@ def init_gaussian(spec: GridSpec, width: float, center: float = 0.0) -> GridWave
         )
     offset = spec.positions() - center
     inside = np.abs(offset) <= SUPPORT_SIGMAS * width
-    amps = np.zeros(spec.node_count, dtype=complex)
+    amps = np.zeros(spec.node_count)
     amps[inside] = np.exp(-(offset[inside] ** 2) / (4.0 * width * width))
     return GridWavefunction(spec, amps).normalized()
 
@@ -209,9 +228,14 @@ def apply_block(wf: GridWavefunction, mu: float, nu: float) -> GridWavefunction:
     Returns the unnormalized output mu * shift(wf, +1) + nu * shift(wf, -1);
     its squared norm over the input's is the block's pass weight.
     """
-    plus = shift(wf, +1.0)
-    minus = shift(wf, -1.0)
-    return GridWavefunction(wf.spec, mu * plus.amplitudes + nu * minus.amplitudes)
+    amps = wf.amplitudes
+    dst_plus, src_plus = _translation(amps, wf.spec, +1.0)
+    dst_minus, src_minus = _translation(amps, wf.spec, -1.0)
+    out = np.zeros_like(amps)
+    np.multiply(amps[src_plus], mu, out=out[dst_plus])
+    minus = np.multiply(amps[src_minus], nu)
+    out[dst_minus] += minus
+    return GridWavefunction(wf.spec, out)
 
 
 def evolve_sequential(
@@ -236,6 +260,11 @@ def evolve_sequential(
 
 
 def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
+    if spec.node_count > MAX_GRID_NODES:
+        raise MemoryGuardError(
+            f"grid of {spec.node_count} nodes, over the {MAX_GRID_NODES}-node "
+            f"budget; coarsen grid_dx or reduce delta"
+        )
     needed = params.n + SUPPORT_SIGMAS * params.delta
     if spec.half_span + 1e-9 < needed:
         raise TruncationError(
@@ -261,37 +290,42 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     weighted by its pre-selection amplitude.  Projecting every qubit onto
     the post-selection state and tracing the qubits out is linear in the
     rows, so each row is projected as soon as it is built, in bitstring
-    order, as post * (pre * chi) in one reused buffer.  chi is real, so the
-    sum (the complex sum's real part, bit for bit) is the unnormalized
-    conditional pointer state, whose squared norm is the success probability.
+    order, as post * (pre * chi) in one reused buffer that spans chi's
+    nonzero support only.  The sum is the unnormalized conditional pointer
+    state, whose squared norm is the success probability.
 
     Must agree with evolve_sequential; that equivalence is what makes the
     sequential protocol measure the sum observable.
     """
     _require_domain(params, spec)
     _check_joint_budget(params, spec)
-    chi = np.ascontiguousarray(init_gaussian(spec, params.delta, 0.0).amplitudes.real)
+    chi = init_gaussian(spec, params.delta, 0.0).amplitudes
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)
     # A row's translation depends only on its count of H bits, so the n + 1
-    # translations are checked once, in the order the bitstrings reach them.
-    translations = [_translation(chi, spec, 2 * h - n) for h in range(n + 1)]
+    # translations are checked once, in the order the bitstrings reach them;
+    # they keep chi's nonzero support [lo, hi) on the grid at every shift.
+    for h in range(n + 1):
+        _translation(chi, spec, 2 * h - n)
+    support = np.flatnonzero(chi)
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    chi = chi[lo:hi]
     phi = np.zeros(spec.node_count)
-    row = np.empty(spec.node_count)
+    row = np.empty(hi - lo)
     for b in range(2 ** n):
         h = bin(b).count("1")
-        dst, src = translations[h]
+        s = (2 * h - n) * spec.nodes_per_unit
         np.multiply(chi, ca ** h * sa ** (n - h), out=row)
         np.multiply(row, cb ** h * sb ** (n - h), out=row)
-        phi[dst] += row[src]
-    return GridWavefunction(spec, phi.astype(complex))._normalized_with_norm()
+        phi[lo + s:hi + s] += row
+    return GridWavefunction(spec, phi)._normalized_with_norm()
 
 
 def moments(wf: GridWavefunction) -> tuple[float, float]:
     """Riemann-sum (mean, std) of |psi|^2; expects a normalized input."""
     x = wf.spec.positions()
-    dens = (wf.amplitudes.real ** 2 + wf.amplitudes.imag ** 2) * wf.spec.dx
+    dens = (wf.amplitudes * wf.amplitudes) * wf.spec.dx
     mean = float(np.sum(x * dens))
     var = float(np.sum(x * x * dens)) - mean * mean
     return mean, math.sqrt(max(var, 0.0))
@@ -302,7 +336,7 @@ def cdf(wf: GridWavefunction) -> np.ndarray:
     owns half of its own cell mass, so a symmetric density gives exactly
     0.5 at x = 0.  Nondecreasing, final entry 1 (minus half the boundary
     cell, which is empty by construction)."""
-    dens = (wf.amplitudes.real ** 2 + wf.amplitudes.imag ** 2) * wf.spec.dx
+    dens = (wf.amplitudes * wf.amplitudes) * wf.spec.dx
     return np.cumsum(dens) - 0.5 * dens
 
 
@@ -310,7 +344,7 @@ def write_density(wf: GridWavefunction, out: TextIO) -> None:
     """Dump (x, |psi|^2) as plot-ready text: header '# x density', one
     tab-separated pair per node."""
     x = wf.spec.positions()
-    dens = wf.amplitudes.real ** 2 + wf.amplitudes.imag ** 2
+    dens = wf.amplitudes * wf.amplitudes
     out.write("# x density\n")
     for xi, di in zip(x, dens):
         out.write(f"{xi:.17g}\t{di:.17g}\n")

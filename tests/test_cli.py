@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from wvsim import analytic, cli
+from wvsim import analytic, cli, grid
 from wvsim.cli import build_parser, build_config, main, parse_config_file
 
 from conftest import REFERENCE
@@ -265,6 +265,22 @@ class TestOracleCommand:
         assert run_cli(["oracle", "--n", "13", "--grid_dx", "0.001"]) == 2
         assert "budget" in capsys.readouterr().err
         assert calls == []
+
+
+class TestOversizedGrid:
+    @pytest.mark.parametrize("argv", [
+        ["click", "--delta", "1e12"],
+        ["click", "--grid_dx", "1e-9"],
+        ["table", "--grid_dx", "1e-8"],
+    ])
+    def test_refused_before_allocating(self, argv, capsys):
+        # Grids of 1e10 to 1e15 nodes: refused from the node count, where
+        # they once ended in numpy's untyped allocation error.
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"over the {grid.MAX_GRID_NODES}-node budget" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestKernelCalls:

@@ -22,7 +22,17 @@ from wvsim import (
     write_density,
 )
 from wvsim.analytic import coupling_weights
-from wvsim.grid import GridWavefunction, _check_joint_budget, apply_block, init_gaussian, shift
+from wvsim.grid import (
+    MAX_GRID_NODES,
+    SUPPORT_SIGMAS,
+    GridWavefunction,
+    _check_joint_budget,
+    _exact_sum,
+    _require_domain,
+    apply_block,
+    init_gaussian,
+    shift,
+)
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
@@ -35,6 +45,30 @@ def block(wf, alpha, beta):
     w = coupling_weights(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=1.0))
     out = apply_block(wf, w.mu, w.nu)
     return out, out.squared_norm() / wf.squared_norm()
+
+
+def complex_sequential(params, spec):
+    """evolve_sequential as it ran on complex128 amplitudes: both block
+    shifts as zeroed copies, mu * plus + nu * minus in complex arithmetic,
+    and normalization by dividing by the norm."""
+    def normalized(amps):
+        squared = _exact_sum(amps.real ** 2 + amps.imag ** 2) * spec.dx
+        return amps / math.sqrt(squared), squared
+
+    x = spec.positions()
+    inside = np.abs(x) <= SUPPORT_SIGMAS * params.delta
+    amps = np.zeros(spec.node_count, dtype=complex)
+    amps[inside] = np.exp(-(x[inside] ** 2) / (4.0 * params.delta * params.delta))
+    amps, _ = normalized(amps)
+    w = coupling_weights(params)
+    k = spec.nodes_per_unit
+    for _ in range(params.n):
+        plus = np.zeros_like(amps)
+        plus[k:] = amps[:-k]
+        minus = np.zeros_like(amps)
+        minus[:-k] = amps[k:]
+        amps = w.mu * plus + w.nu * minus
+    return normalized(amps)
 
 
 class TestGridSpec:
@@ -58,6 +92,28 @@ class TestGridSpec:
         x = GridSpec(dx=0.1, half_span=5.0).positions()
         assert x[0] == -x[-1]
         assert x[len(x) // 2] == 0.0
+
+
+class TestGridWavefunction:
+    def test_amplitudes_are_real(self):
+        spec = small_spec()
+        assert init_gaussian(spec, width=1.0).amplitudes.dtype == np.float64
+        wf = GridWavefunction(spec, np.ones(spec.node_count, dtype=np.float32))
+        assert wf.amplitudes.dtype == np.float64
+
+    def test_complex_input_with_zero_imaginary_part_is_stored_real(self):
+        spec = small_spec()
+        real = init_gaussian(spec, width=1.0).amplitudes
+        wf = GridWavefunction(spec, real.astype(complex))
+        assert wf.amplitudes.dtype == np.float64
+        assert np.array_equal(wf.amplitudes, real)
+
+    def test_complex_input_is_refused(self):
+        spec = small_spec()
+        amps = init_gaussian(spec, width=1.0).amplitudes.astype(complex)
+        amps[spec.half_nodes] += 1e-300j
+        with pytest.raises(InvalidParameterError, match="real"):
+            GridWavefunction(spec, amps)
 
 
 class TestInitGaussian:
@@ -198,6 +254,35 @@ class TestEvolveSequential:
         with pytest.raises(TruncationError):
             evolve_sequential(params, GridSpec(dx=0.05, half_span=20.0))
 
+    @pytest.mark.parametrize("label, dx", [
+        ("a", 0.01), ("b", 0.01), ("c", 0.01), ("d", 0.01), ("a", 0.001),
+    ])
+    def test_equals_complex_evolution(self, label, dx):
+        # The real state is the former complex state's real part, bit for bit.
+        params = PRESETS[label]
+        spec = GridSpec.for_protocol(params, dx=dx)
+        wf, prob = evolve_sequential(params, spec)
+        ref, ref_prob = complex_sequential(params, spec)
+        assert wf.amplitudes.dtype == np.float64
+        assert not np.any(ref.imag)
+        assert np.array_equal(wf.amplitudes, ref.real)
+        assert prob == ref_prob
+
+    def test_node_budget(self):
+        # Refused from the node count alone, before any node array exists.
+        params = PRESETS["a"]
+        fits = GridSpec(dx=1.0, half_span=(MAX_GRID_NODES - 1) // 2)
+        assert fits.node_count in (MAX_GRID_NODES - 1, MAX_GRID_NODES)
+        _require_domain(params, fits)
+        too_big = GridSpec(dx=1.0, half_span=fits.half_span + 1)
+        assert too_big.node_count == fits.node_count + 2
+        with pytest.raises(MemoryGuardError, match=f"over the {MAX_GRID_NODES}-node budget"):
+            _require_domain(params, too_big)
+        huge = GridSpec.for_protocol(params, dx=1e-9)
+        for evolve in (evolve_sequential, evolve_joint):
+            with pytest.raises(MemoryGuardError, match="node budget"):
+                evolve(params, huge)
+
     def test_one_norm_per_evolution(self, monkeypatch):
         # The pass probability is the final state's squared norm, so the
         # number of compensated sums does not grow with the block count.
@@ -326,26 +411,30 @@ class TestEvolveJoint:
                 assert refused == refused_in_bytes, (n, dx)
 
     def test_matches_materialized_projection(self):
-        # Reference: fill the full 2^n x nodes coupled state first, then
-        # project it, as the joint route did before it streamed the rows.
+        # Reference: fill the full 2^n x nodes coupled state first, each row
+        # over the whole domain, then project it, as the joint route did
+        # before it streamed the rows.  The state is real, so it is filled
+        # in float64, which holds the former complex state's real parts.
         def materialized(params, spec):
             chi = init_gaussian(spec, params.delta, 0.0)
             n = params.n
             ca, sa = math.cos(params.alpha), math.sin(params.alpha)
-            state = np.empty((2 ** n, spec.node_count), dtype=complex)
+            state = np.empty((2 ** n, spec.node_count))
             for b in range(2 ** n):
                 h = bin(b).count("1")
                 state[b] = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
             cb, sb = math.cos(params.beta), math.sin(params.beta)
-            phi = np.zeros(spec.node_count, dtype=complex)
+            phi = np.zeros(spec.node_count)
             for b in range(2 ** n):
                 h = bin(b).count("1")
                 phi += (cb ** h * sb ** (n - h)) * state[b]
             return GridWavefunction(spec, phi)._normalized_with_norm()
 
-        settings = [PRESETS[label] for label in "abcd"]
+        settings = [(PRESETS[label], 0.05) for label in "abcd"]
+        # The bench grid, where the support covers 87% of the nodes.
+        settings.append((PRESETS["a"], 0.001))
         rng = np.random.default_rng(17)
-        while len(settings) < 14:
+        while len(settings) < 15:
             a, b = rng.uniform(0, 2 * math.pi, size=2)
             params = ProtocolParams(
                 n=int(rng.integers(1, 9)), alpha=float(a), beta=float(b),
@@ -355,9 +444,9 @@ class TestEvolveJoint:
                 conditional_moments(params)
             except PostselectionError:
                 continue
-            settings.append(params)
-        for params in settings:
-            spec = GridSpec.for_protocol(params, dx=0.05)
+            settings.append((params, 0.05))
+        for params, dx in settings:
+            spec = GridSpec.for_protocol(params, dx=dx)
             wf, prob = evolve_joint(params, spec)
             ref, ref_prob = materialized(params, spec)
             assert np.array_equal(wf.amplitudes, ref.amplitudes)

@@ -1,6 +1,6 @@
-"""Property tests of the closed-form moment kernel, the grid's exact sum
-and CDF, and the Monte Carlo acceptance stream, inverse-CDF lookup and
-histogram.
+"""Property tests of the closed-form moment kernel, the grid's exact sum,
+CDF and two evolutions against each other and the closed forms, and the
+Monte Carlo acceptance stream, inverse-CDF lookup and histogram.
 
 Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
 (with the orthogonal and eigenstate angles drawn on purpose) and pointer
@@ -24,8 +24,10 @@ from wvsim import (  # noqa: E402
     ProtocolParams,
     cdf,
     conditional_moments,
+    evolve_joint,
     evolve_sequential,
     first_click,
+    moments,
     run_trials,
 )
 from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
@@ -138,6 +140,46 @@ def test_cdf_nondecreasing(n, alpha, beta, delta, dx):
         return
     wf, _ = evolve_sequential(params, GridSpec.for_protocol(params, dx=dx))
     assert np.all(np.diff(cdf(wf)) >= 0.0)
+
+
+grid_settings = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def grid_evolutions(n, alpha, beta, delta):
+    """Closed-form moments and both grid evolutions at dx 0.05, or None
+    where post-selection is orthogonal."""
+    params = ProtocolParams(n=n, alpha=alpha, beta=beta, delta=delta)
+    try:
+        m = conditional_moments(params)
+    except PostselectionError:
+        return None
+    spec = GridSpec.for_protocol(params, dx=0.05)
+    return m, spec, evolve_sequential(params, spec), evolve_joint(params, spec)
+
+
+@grid_settings
+@given(n=st.integers(1, 8), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
+def test_sequential_equals_joint(n, alpha, beta, delta):
+    found = grid_evolutions(n, alpha, beta, delta)
+    if found is None:
+        return
+    _, spec, (seq, p_seq), (joint, p_joint) = found
+    l2 = math.sqrt(float(np.sum((seq.amplitudes - joint.amplitudes) ** 2)) * spec.dx)
+    assert l2 < 1e-9
+    assert p_seq == pytest.approx(p_joint, rel=1e-12, abs=0)
+
+
+@grid_settings
+@given(n=st.integers(1, 8), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
+def test_grid_matches_closed_forms(n, alpha, beta, delta):
+    found = grid_evolutions(n, alpha, beta, delta)
+    if found is None:
+        return
+    m, _, (seq, p_seq), _ = found
+    mean, std = moments(seq)
+    assert p_seq == pytest.approx(m.probability, rel=1e-6, abs=0)
+    assert std == pytest.approx(m.std, rel=1e-6, abs=0)
+    assert abs(mean - m.mean) <= 1e-6 * max(1.0, abs(m.mean))
 
 
 # Settings of the acceptance stream with a trial count that keeps the
