@@ -59,6 +59,11 @@ MAX_GRID_NODES = 25_000_000
 EXACT_SUM_CHUNK = 2 ** 16
 
 
+def _past_float_range(dx: float) -> str:
+    return (f"grid_dx {dx} makes the node count overflow a float, over the "
+            f"{MAX_GRID_NODES}-node budget; coarsen grid_dx")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform symmetric grid on [-half_span, +half_span].
@@ -73,6 +78,8 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.dx) and self.dx > 0):
             raise InvalidParameterError(f"dx must be positive, got {self.dx}")
+        if not math.isfinite(1.0 / self.dx):
+            raise MemoryGuardError(_past_float_range(self.dx))
         q = round(1.0 / self.dx)
         if q < 1 or abs(q * self.dx - 1.0) > 1e-9:
             raise InvalidParameterError(
@@ -80,6 +87,8 @@ class GridSpec:
             )
         if not (math.isfinite(self.half_span) and self.half_span > 0):
             raise InvalidParameterError(f"half_span must be positive, got {self.half_span}")
+        if not math.isfinite(self.half_span / self.dx):
+            raise MemoryGuardError(_past_float_range(self.dx))
         m = math.ceil(self.half_span / self.dx - 1e-9)
         object.__setattr__(self, "half_span", m * self.dx)
 

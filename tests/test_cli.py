@@ -272,10 +272,12 @@ class TestOversizedGrid:
         ["click", "--delta", "1e12"],
         ["click", "--grid_dx", "1e-9"],
         ["table", "--grid_dx", "1e-8"],
+        ["click", "--grid_dx", "1e-320"],
+        ["click", "--delta", "1e150", "--grid_dx", "1e-200"],
     ])
     def test_refused_before_allocating(self, argv, capsys):
-        # Grids of 1e10 to 1e15 nodes: refused from the node count, where
-        # they once ended in numpy's untyped allocation error.
+        # Grids of 1e10 to 1e15 nodes, and node counts past float range,
+        # are refused from the node count before any node array exists.
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

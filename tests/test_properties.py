@@ -145,25 +145,26 @@ def test_cdf_nondecreasing(n, alpha, beta, delta, dx):
 grid_settings = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
-def grid_evolutions(n, alpha, beta, delta):
-    """Closed-form moments and both grid evolutions at dx 0.05, or None
+def grid_setting(n, alpha, beta, delta):
+    """The setting, its closed-form moments and its dx 0.05 grid, or None
     where post-selection is orthogonal."""
     params = ProtocolParams(n=n, alpha=alpha, beta=beta, delta=delta)
     try:
         m = conditional_moments(params)
     except PostselectionError:
         return None
-    spec = GridSpec.for_protocol(params, dx=0.05)
-    return m, spec, evolve_sequential(params, spec), evolve_joint(params, spec)
+    return params, m, GridSpec.for_protocol(params, dx=0.05)
 
 
 @grid_settings
 @given(n=st.integers(1, 8), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
 def test_sequential_equals_joint(n, alpha, beta, delta):
-    found = grid_evolutions(n, alpha, beta, delta)
+    found = grid_setting(n, alpha, beta, delta)
     if found is None:
         return
-    _, spec, (seq, p_seq), (joint, p_joint) = found
+    params, _, spec = found
+    seq, p_seq = evolve_sequential(params, spec)
+    joint, p_joint = evolve_joint(params, spec)
     l2 = math.sqrt(float(np.sum((seq.amplitudes - joint.amplitudes) ** 2)) * spec.dx)
     assert l2 < 1e-9
     assert p_seq == pytest.approx(p_joint, rel=1e-12, abs=0)
@@ -172,12 +173,13 @@ def test_sequential_equals_joint(n, alpha, beta, delta):
 @grid_settings
 @given(n=st.integers(1, 8), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
 def test_grid_matches_closed_forms(n, alpha, beta, delta):
-    found = grid_evolutions(n, alpha, beta, delta)
+    found = grid_setting(n, alpha, beta, delta)
     if found is None:
         return
-    m, _, (seq, p_seq), _ = found
-    mean, std = moments(seq)
-    assert p_seq == pytest.approx(m.probability, rel=1e-6, abs=0)
+    params, m, spec = found
+    wf, probability = evolve_sequential(params, spec)
+    mean, std = moments(wf)
+    assert probability == pytest.approx(m.probability, rel=1e-6, abs=0)
     assert std == pytest.approx(m.std, rel=1e-6, abs=0)
     assert abs(mean - m.mean) <= 1e-6 * max(1.0, abs(m.mean))
 
