@@ -22,7 +22,8 @@ print(f"grid: dx = {spec.dx}, half_span = {spec.half_span}, {spec.node_count} no
 seq, p_seq = wvsim.evolve_sequential(params, spec)
 joint, p_joint = wvsim.evolve_joint(params, spec)
 
-l2 = math.sqrt(float(np.sum(np.abs(seq.amplitudes - joint.amplitudes) ** 2)) * spec.dx)
+diff = seq.amplitudes - joint.amplitudes
+l2 = math.sqrt(float(np.sum(diff * diff)) * spec.dx)
 print()
 print("sequential vs joint evolution")
 print(f"  L2 distance of final states   {l2:.3e}")

@@ -51,11 +51,13 @@ TABLE_TARGET_CLICKS = 5000
 # near 360 MB.
 MAX_SWEEP_STEPS = 10 ** 6
 
-_CONFIG_KEYS = (
-    "n", "alpha", "beta", "delta",
-    "grid_dx", "grid_half_span", "pixel_pitch", "trials", "seed", "out",
-)
-_INT_KEYS = {"n", "trials", "seed"}
+# Configuration keys and their types: the keys of a config file and the
+# flags of the same names, in help order.
+_CONFIG_KEYS = {
+    "n": int, "alpha": float, "beta": float, "delta": float,
+    "grid_dx": float, "grid_half_span": float, "pixel_pitch": float,
+    "trials": int, "seed": int, "out": str,
+}
 
 
 @dataclass
@@ -78,41 +80,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _file_error(action: str, path: str, exc: Exception) -> InvalidParameterError:
+    reason = getattr(exc, "strerror", None) or exc
+    return InvalidParameterError(f"cannot {action} {path}: {reason}")
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat `key = value` lines; blank lines and '#' comments are skipped."""
+    """Flat `key = value` lines; blank lines and '#' comments are skipped.
+    An unreadable or non-UTF-8 file raises InvalidParameterError."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key == "out":
-                    values[key] = raw
-                elif key in _INT_KEYS:
-                    values[key] = int(raw)
-                else:
-                    values[key] = float(raw)
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, raw = stripped.partition("=")
+                key = key.strip()
+                raw = raw.strip()
+                if key not in _CONFIG_KEYS:
+                    raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    values[key] = _CONFIG_KEYS[key](raw)
+                except ValueError as exc:
+                    raise InvalidParameterError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error("read config file", path, exc) from exc
     return values
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve defaults, config file, preset and flags, in that order."""
-    preset = PRESETS[args.preset] if args.preset else PRESETS["a"]
     values = {
-        "n": preset.n,
-        "alpha": preset.alpha,
-        "beta": preset.beta,
-        "delta": preset.delta,
+        **vars(PRESETS["a"]),
         "grid_dx": DEFAULT_DX,
         "grid_half_span": None,
         "pixel_pitch": DEFAULT_PIXEL_PITCH,
@@ -123,8 +125,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         values.update(parse_config_file(args.config))
     if args.preset:
-        p = PRESETS[args.preset]
-        values.update(n=p.n, alpha=p.alpha, beta=p.beta, delta=p.delta)
+        values.update(vars(PRESETS[args.preset]))
     degrees = math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -175,8 +176,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _file_error("write", out_path, exc) from exc
 
 
 def cmd_wv(config: ExperimentConfig) -> int:
@@ -295,9 +299,8 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
     seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu)
     mean_seq, std_seq = moments(seq)
     m = conditional_moments(p)
-    l2 = math.sqrt(
-        float(np.sum(np.abs(seq.amplitudes - joint.amplitudes) ** 2)) * grid.dx
-    )
+    diff = seq.amplitudes - joint.amplitudes
+    l2 = math.sqrt(float(np.sum(diff * diff)) * grid.dx)
     checks = [
         ("l2_sequential_vs_joint", l2, 1e-9),
         ("probability_sequential_vs_joint", abs(p_seq - p_joint), 1e-9),
@@ -332,16 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=sorted(PRESETS), help="bundled parameter set")
     common.add_argument("--degrees", action="store_true",
                         help="angle values on the command line are degrees")
-    common.add_argument("--n", type=int)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--delta", type=float)
-    common.add_argument("--grid_dx", type=float)
-    common.add_argument("--grid_half_span", type=float)
-    common.add_argument("--pixel_pitch", type=float)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="output file path")
+    for key, kind in _CONFIG_KEYS.items():
+        common.add_argument(f"--{key}", type=kind,
+                            help="output file path" if key == "out" else None)
 
     parser = _Parser(prog="wvsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

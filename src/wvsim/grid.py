@@ -15,9 +15,9 @@ Two design rules keep the oracle honest:
   of the coupling land exactly on nodes.  Shifts are pure index moves,
   never interpolations, and preserve amplitudes bit for bit; one helper,
   `_translation`, computes them and checks truncation for both routes.
-* The initial Gaussian is cut off hard at 8 sigma (relative mass below
-  1e-14) and the domain must extend at least n units beyond that, so no
-  shift ever pushes nonzero amplitude off the edge.
+* The initial Gaussian is centred at 0 and cut off hard at 8 sigma
+  (relative mass below 1e-14), and the domain must extend at least n
+  units beyond that, so no shift ever pushes nonzero amplitude off the edge.
 
 The joint-coupling evolution couples n qubits to one shared pointer at
 once and post-selects every qubit: for each of the 2^n bitstrings in
@@ -179,23 +179,23 @@ def _exact_sum(values: np.ndarray) -> float:
     return total / (1 << 1127)
 
 
-def init_gaussian(spec: GridSpec, width: float, center: float = 0.0) -> GridWavefunction:
-    """Normalized Gaussian amplitude exp(-(x-center)^2 / 4 width^2) with
+def init_gaussian(spec: GridSpec, width: float) -> GridWavefunction:
+    """Normalized Gaussian amplitude exp(-x^2 / 4 width^2) centred at 0, with
     hard support cutoff at `SUPPORT_SIGMAS` times the width.
 
     Raises TruncationError if the cut support does not fit the domain.
     """
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameterError(f"width must be positive, got {width}")
-    if abs(center) + SUPPORT_SIGMAS * width > spec.half_span + 1e-9:
+    if SUPPORT_SIGMAS * width > spec.half_span + 1e-9:
         raise TruncationError(
             f"domain half_span {spec.half_span} cannot hold {SUPPORT_SIGMAS} sigma "
-            f"support of a width-{width} Gaussian at {center}"
+            f"support of a width-{width} Gaussian"
         )
-    offset = spec.positions() - center
-    inside = np.abs(offset) <= SUPPORT_SIGMAS * width
+    x = spec.positions()
+    inside = np.abs(x) <= SUPPORT_SIGMAS * width
     amps = np.zeros(spec.node_count)
-    amps[inside] = np.exp(-(offset[inside] ** 2) / (4.0 * width * width))
+    amps[inside] = np.exp(-(x[inside] ** 2) / (4.0 * width * width))
     return GridWavefunction(spec, amps).normalized()
 
 
@@ -219,23 +219,13 @@ def _translation(amps: np.ndarray, spec: GridSpec, displacement: float) -> tuple
     return slice(None), slice(None)
 
 
-def shift(wf: GridWavefunction, displacement: float) -> GridWavefunction:
-    """Translate by an exact node multiple; pure index move.
-
-    Raises TruncationError if any nonzero amplitude would leave the domain.
-    """
-    dst, src = _translation(wf.amplitudes, wf.spec, displacement)
-    out = np.zeros_like(wf.amplitudes)
-    out[dst] = wf.amplitudes[src]
-    return GridWavefunction(wf.spec, out)
-
-
 def apply_block(wf: GridWavefunction, mu: float, nu: float) -> GridWavefunction:
     """One pre-select / couple / post-select block acting on the pointer,
     with the block's coupling weights mu and nu (see `coupling_weights`).
 
-    Returns the unnormalized output mu * shift(wf, +1) + nu * shift(wf, -1);
-    its squared norm over the input's is the block's pass weight.
+    Returns the unnormalized output, mu times wf moved by +1 plus nu times
+    wf moved by -1; its squared norm over the input's is the block's pass
+    weight.  Weights (1, 0) and (0, 1) give the exact unit shifts.
     """
     amps = wf.amplitudes
     dst_plus, src_plus = _translation(amps, wf.spec, +1.0)
@@ -262,7 +252,7 @@ def evolve_sequential(
     """
     _require_domain(params, spec)
     w = coupling_weights(params)
-    wf = init_gaussian(spec, params.delta, 0.0)
+    wf = init_gaussian(spec, params.delta)
     for _ in range(params.n):
         wf = apply_block(wf, w.mu + mu_offset, w.nu)
     return wf._normalized_with_norm()
@@ -308,7 +298,7 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     """
     _require_domain(params, spec)
     _check_joint_budget(params, spec)
-    chi = init_gaussian(spec, params.delta, 0.0).amplitudes
+    chi = init_gaussian(spec, params.delta).amplitudes
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)

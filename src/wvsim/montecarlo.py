@@ -33,8 +33,9 @@ above it), not a fixed large batch, and draws another batch only if one
 falls short.  The inverse-CDF lookup searches the uniforms in sorted
 order, where numpy's searchsorted starts each search from the previous
 key's result, and scatters the indices back; each index is the same
-whatever the key order.  The histogram is
-built from whole arrays, with the same floating-point operation per bin.
+whatever the key order.  The histogram is one np.unique over the clicks'
+pixel centers.  Every pass probability takes the same walk: it is clamped
+to 1, where every geometric gap is 1 and every trial is accepted.
 """
 from __future__ import annotations
 
@@ -104,6 +105,7 @@ class DetectorModel:
         return index.astype(int)
 
     def pixel_center(self, x):
+        """Center of the nearest pixel of each position."""
         return self.origin + self.pixel_index(x) * self.pixel_pitch
 
 
@@ -204,7 +206,10 @@ def _check_run(seed: int, trials: int, name: str) -> None:
 def _gap_batches(seed: int, probability: float, size: int = _GAP_BATCH):
     """The acceptance stream of `seed`: successive batches of `size`
     geometric gaps between accepted trials.  numpy draws the gaps one by
-    one, so the stream does not depend on the batch size."""
+    one, so the stream does not depend on the batch size.  A probability
+    a few ulps above 1, as a normalised sum can read at an eigenstate, is
+    taken as 1."""
+    probability = min(probability, 1.0)
     gen = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
     )
@@ -216,11 +221,9 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
     """0-based indices of accepted trials among `count` Bernoulli trials,
     generated as a geometric-gap walk (identical in law to per-trial coin
     flips, but O(accepted) work instead of O(count))."""
-    if probability >= 1.0:
-        return np.arange(count, dtype=np.int64)
     # A run needs one gap per accepted trial plus the one that passes
     # `count`; six standard deviations above the mean make a second batch rare.
-    expected = count * probability
+    expected = count * min(probability, 1.0)
     size = int(min(_GAP_BATCH, expected + 6.0 * math.sqrt(expected) + 1.0))
     chunks = []
     total = 0
@@ -243,12 +246,11 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
 
 def _clicks(
     seed: int, indices: np.ndarray, sampler: _ConditionalSampler, detector: DetectorModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw positions, pixel indices and pixel centers of the clicks of the
-    accepted trials `indices`, each drawn from the trial's own stream."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw positions and pixel centers of the clicks of the accepted trials
+    `indices`, each drawn from the trial's own stream."""
     raw = sampler.draw(_first_uniforms(seed, indices))
-    pixel_idx = detector.pixel_index(raw)
-    return raw, pixel_idx, detector.origin + pixel_idx * detector.pixel_pitch
+    return raw, detector.pixel_center(raw)
 
 
 def run_trials(
@@ -288,7 +290,7 @@ def run_trials(
             histogram=(),
         )
 
-    raw, pixel_idx, positions = _clicks(seed, indices, sampler, detector)
+    raw, positions = _clicks(seed, indices, sampler, detector)
     mean = float(np.mean(positions))
     if accepted >= 2:
         std = float(np.std(positions, ddof=1))
@@ -296,8 +298,7 @@ def run_trials(
     else:
         std = math.nan
         stderr = math.nan
-    uniq, counts = np.unique(pixel_idx, return_counts=True)
-    centers = detector.origin + uniq * detector.pixel_pitch
+    centers, counts = np.unique(positions, return_counts=True)
     histogram = tuple(zip(centers.tolist(), counts.tolist()))
     return RunSummary(
         trials=count,
@@ -324,13 +325,10 @@ def first_click(
     the first_click of any run_trials call with count >= index + 1."""
     _check_run(seed, budget, "budget")
     sampler = _conditional_sampler(params, spec)
-    if sampler.probability >= 1.0:
-        idx = 0
-    else:
-        idx = int(next(_gap_batches(seed, sampler.probability, size=1))[0]) - 1
+    idx = int(next(_gap_batches(seed, sampler.probability, size=1))[0]) - 1
     if idx >= budget:
         return None
-    raw, _, positions = _clicks(seed, np.array([idx]), sampler, detector)
+    raw, positions = _clicks(seed, np.array([idx]), sampler, detector)
     return idx, ClickOutcome(position=float(positions[0]), raw_position=float(raw[0]))
 
 

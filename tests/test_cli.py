@@ -52,6 +52,54 @@ class TestConfigFile:
         assert run_cli(["wv", "--config", str(cfg)]) == 1
 
 
+class TestConfigKeys:
+    # Each key of the table is a flag and a file key of the same type, and
+    # a value its type refuses exits 1 by either route.
+    GOOD = {int: "3", float: "0.25", str: "run.csv"}
+    BAD = {int: ["x", "2.5"], float: ["x", ""], str: ["missing/x.csv"]}
+
+    @pytest.mark.parametrize("key, kind", list(cli._CONFIG_KEYS.items()))
+    def test_flag_and_file_share_the_type(self, key, kind, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {self.GOOD[kind]}\n")
+        from_file = parse_config_file(str(cfg))[key]
+        from_flag = getattr(build_parser().parse_args(["wv", f"--{key}", self.GOOD[kind]]), key)
+        assert type(from_file) is type(from_flag) is kind
+        assert from_file == from_flag == kind(self.GOOD[kind])
+        for bad in self.BAD[kind]:
+            if kind is str:
+                bad = str(tmp_path / bad)
+            cfg.write_text(f"{key} = {bad}\n")
+            assert run_cli(["wv", "--config", str(cfg)]) == 1
+            try:
+                code = run_cli(["wv", f"--{key}", bad])
+            except SystemExit as exc:  # the parser's usage error
+                code = exc.code
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.count("error: ") == 2
+            assert "Traceback" not in err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("flag, name", [
+        ("--config", "missing.cfg"),
+        ("--config", "adir"),
+        ("--config", "latin1.cfg"),
+        ("--out", "missing/x.csv"),
+        ("--out", "adir"),
+    ])
+    def test_refused_without_traceback(self, flag, name, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes(b"n = 7\n# caf\xe9\n")
+        path = str(tmp_path / name)
+        assert run_cli(["wv", flag, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ")
+        assert path in err
+        assert "Traceback" not in err
+
+
 class TestConfigPrecedence:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

@@ -29,14 +29,22 @@ from wvsim.grid import (
     _check_joint_budget,
     _exact_sum,
     _require_domain,
+    _translation,
     apply_block,
     init_gaussian,
-    shift,
 )
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
     return GridSpec(dx=dx, half_span=margin + 8.0 * width)
+
+
+def translated(amps, spec, displacement):
+    """A copy of the node values `amps` moved through `_translation`."""
+    dst, src = _translation(amps, spec, displacement)
+    out = np.zeros_like(amps)
+    out[dst] = amps[src]
+    return out
 
 
 def block(wf, alpha, beta):
@@ -119,59 +127,58 @@ class TestGridWavefunction:
 class TestInitGaussian:
     def test_moments_and_norm(self):
         spec = GridSpec(dx=0.05, half_span=60.0)
-        wf = init_gaussian(spec, width=5.84, center=0.0)
+        wf = init_gaussian(spec, width=5.84)
         mean, std = moments(wf)
         assert abs(mean) < 1e-10
         assert std == pytest.approx(5.84, abs=1e-6)
         assert wf.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_centered_at_plus_one(self):
-        spec = small_spec(width=1.0, margin=3.0)
-        mean, _ = moments(init_gaussian(spec, width=1.0, center=1.0))
-        assert mean == pytest.approx(1.0, abs=1e-10)
-
     def test_domain_too_small(self):
         spec = GridSpec(dx=0.05, half_span=5.0)
         with pytest.raises(TruncationError):
-            init_gaussian(spec, width=1.0, center=0.0)  # needs 8 sigma = 8
+            init_gaussian(spec, width=1.0)  # needs 8 sigma = 8
 
 
 class TestShift:
+    # apply_block with weights (1, 0) is the exact +1 shift, (0, 1) the -1
+    # shift; other displacements go through _translation itself.
     def test_mean_moves_by_displacement(self):
         spec = GridSpec(dx=0.05, half_span=60.0)
         wf = init_gaussian(spec, width=5.84)
-        mean, _ = moments(shift(wf, 1.0).normalized())
+        mean, _ = moments(apply_block(wf, 1.0, 0.0).normalized())
         assert mean == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_shift_is_identity(self):
         spec = small_spec()
-        wf = init_gaussian(spec, width=1.0)
-        out = shift(wf, 0.0)
-        assert out is not wf
-        assert np.array_equal(out.amplitudes, wf.amplitudes)
+        amps = init_gaussian(spec, width=1.0).amplitudes
+        assert _translation(amps, spec, 0.0) == (slice(None), slice(None))
+        assert np.array_equal(translated(amps, spec, 0.0), amps)
 
     def test_round_trip_is_exact(self):
         spec = small_spec()
         wf = init_gaussian(spec, width=1.0)
-        back = shift(shift(wf, 1.0), -1.0)
+        back = apply_block(apply_block(wf, 1.0, 0.0), 0.0, 1.0)
         assert np.array_equal(back.amplitudes, wf.amplitudes)
 
     def test_norm_preserved_bit_exactly(self):
         spec = small_spec()
         wf = init_gaussian(spec, width=1.0)
-        assert shift(wf, 1.0).squared_norm() == wf.squared_norm()
+        assert apply_block(wf, 1.0, 0.0).squared_norm() == wf.squared_norm()
+        assert apply_block(wf, 0.0, 1.0).squared_norm() == wf.squared_norm()
 
     def test_non_node_displacement_rejected(self):
         spec = small_spec()
         wf = init_gaussian(spec, width=1.0)
         with pytest.raises(InvalidParameterError):
-            shift(wf, 0.5 * spec.dx)
+            _translation(wf.amplitudes, spec, 0.5 * spec.dx)
 
     def test_support_leaving_domain(self):
-        spec = small_spec(width=1.0, margin=1.0)
+        spec = small_spec(width=1.0, margin=0.5)
         wf = init_gaussian(spec, width=1.0)
+        with pytest.raises(TruncationError, match="past \\+half_span"):
+            _translation(wf.amplitudes, spec, 1.0)
         with pytest.raises(TruncationError):
-            shift(wf, 2.0)
+            apply_block(wf, 1.0, 0.0)
 
 
 class TestApplyBlock:
@@ -416,13 +423,13 @@ class TestEvolveJoint:
         # before it streamed the rows.  The state is real, so it is filled
         # in float64, which holds the former complex state's real parts.
         def materialized(params, spec):
-            chi = init_gaussian(spec, params.delta, 0.0)
+            chi = init_gaussian(spec, params.delta).amplitudes
             n = params.n
             ca, sa = math.cos(params.alpha), math.sin(params.alpha)
             state = np.empty((2 ** n, spec.node_count))
             for b in range(2 ** n):
                 h = bin(b).count("1")
-                state[b] = (ca ** h * sa ** (n - h)) * shift(chi, 2 * h - n).amplitudes
+                state[b] = (ca ** h * sa ** (n - h)) * translated(chi, spec, 2 * h - n)
             cb, sb = math.cos(params.beta), math.sin(params.beta)
             phi = np.zeros(spec.node_count)
             for b in range(2 ** n):
@@ -468,18 +475,15 @@ class TestEvolveJoint:
 class TestMomentsAndCdf:
     def test_moments_of_plain_gaussian(self):
         spec = GridSpec(dx=0.05, half_span=30.0)
-        wf = init_gaussian(spec, width=3.0, center=2.0)
+        wf = apply_block(apply_block(init_gaussian(spec, width=3.0), 1.0, 0.0), 1.0, 0.0)
         mean, std = moments(wf)
         assert mean == pytest.approx(2.0, abs=1e-6)
         assert std == pytest.approx(3.0, abs=1e-6)
 
     def test_symmetric_superposition_zero_mean(self):
         spec = GridSpec(dx=0.05, half_span=20.0)
-        wf = init_gaussian(spec, width=1.0, center=0.0)
-        sym = GridWavefunction(
-            spec, shift(wf, 1.0).amplitudes + shift(wf, -1.0).amplitudes
-        ).normalized()
-        mean, _ = moments(sym)
+        wf = init_gaussian(spec, width=1.0)
+        mean, _ = moments(apply_block(wf, 1.0, 1.0).normalized())
         assert abs(mean) < 1e-12
 
     def test_cdf_endpoints_and_monotonicity(self):
@@ -492,7 +496,7 @@ class TestMomentsAndCdf:
 
     def test_cdf_symmetric_half_at_zero(self):
         spec = GridSpec(dx=0.05, half_span=20.0)
-        wf = init_gaussian(spec, width=2.0, center=0.0)
+        wf = init_gaussian(spec, width=2.0)
         c = cdf(wf)
         center = spec.half_nodes
         assert c[center] == pytest.approx(0.5, abs=1e-9)

@@ -248,9 +248,11 @@ def exact_gap_walk(seed, count, probability):
 
 
 # Pass probabilities on both sides of 1/3, where numpy's geometric switches
-# from inversion to its search method, with counts expecting up to ~2000 clicks.
+# from inversion to its search method, and the value the eigenstate anchors
+# of demo 05 come out at, with counts expecting up to ~2000 clicks.
 @stream_examples
-@given(probability=st.sampled_from([1e-4, 0.02, 0.2, 1 / 3, 0.34, 0.5, 0.9]),
+@given(probability=st.sampled_from([1e-4, 0.02, 0.2, 1 / 3, 0.34, 0.5, 0.9,
+                                    0.9999999999999999]),
        seed=seeds, data=st.data())
 def test_accepted_indices_equal_exact_gap_walk(probability, seed, data):
     count = data.draw(st.integers(1, int(2000 / probability)))
@@ -266,6 +268,26 @@ def test_accepted_indices_continue_past_a_short_batch(seed):
     expected = exact_gap_walk(seed, 10, 0.0025)
     assert expected
     assert _accepted_indices(seed, 10, 0.0025).tolist() == expected
+
+
+# A pass probability of 1, or a few ulps above it as a normalised sum can
+# read at an eigenstate, accepts every trial; the walk clamps it to 1.
+@pytest.mark.parametrize("probability", [1.0, 1.0000000000000004])
+def test_sure_pass_accepts_every_trial(probability, monkeypatch):
+    runs = [(0, 1), (7, 5000), (2 ** 128 - 1, 70000)]  # 70000 spans three batches
+    for seed, count in runs:
+        assert np.array_equal(_accepted_indices(seed, count, probability), np.arange(count))
+    params = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
+    spec = GridSpec.for_protocol(params, dx=0.05)
+    real = _conditional_sampler(params, spec)
+    sampler = _ConditionalSampler(probability, real.positions, real.cdf)
+    monkeypatch.setattr("wvsim.montecarlo._conditional_sampler", lambda *_: sampler)
+    for seed, count in runs:
+        index, outcome = first_click(seed, count, params, spec, DETECTOR)
+        assert index == 0
+        run = run_trials(seed, count, params, spec, DETECTOR)
+        assert run.accepted == count
+        assert run.first_click == outcome
 
 
 def unsorted_draw(sampler, u):
@@ -305,8 +327,8 @@ def test_histogram_equals_per_bin_reference(setting, seed, detector):
     spec = GridSpec.for_protocol(params, dx=0.05)
     sampler = _conditional_sampler(params, spec)
     indices = _accepted_indices(seed, count, sampler.probability)
-    _, pixel_idx, _ = _clicks(seed, indices, sampler, detector)
-    uniq, counts = np.unique(pixel_idx, return_counts=True)
+    raw, _ = _clicks(seed, indices, sampler, detector)
+    uniq, counts = np.unique(detector.pixel_index(raw), return_counts=True)
     reference = tuple(
         (float(detector.origin + k * detector.pixel_pitch), int(n)) for k, n in zip(uniq, counts))
     # repr tells apart signed zeros and numpy scalars, which == would not.
