@@ -32,7 +32,7 @@ import numpy as np
 
 from .analytic import ProtocolParams, conditional_moments, expectation_sigma_sum, sweep_beta
 from .errors import InvalidParameterError, MemoryGuardError, ProtocolError
-from .grid import GridSpec, evolve_joint, evolve_sequential, moments
+from .grid import GridSpec, evolve_joint, evolve_sequential, initial_state, moments
 from .montecarlo import MAX_TRIALS, DetectorModel, anomaly_report, first_click, run_trials
 from .presets import PRESETS
 
@@ -293,14 +293,16 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
     make the check fail; it exists as a negative control.
     """
     p, grid = config.params, config.grid
-    # The joint route runs first: its work budget refuses an oversized
-    # evolution before the sequential evolution does any work.
-    joint, p_joint = evolve_joint(p, grid)
-    seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu)
+    # Both routes start from one initial Gaussian.  initial_state runs both
+    # routes' guards first, so an evolution over the joint work budget is
+    # refused before any node array exists.
+    initial = initial_state(p, grid)
+    joint, p_joint = evolve_joint(p, grid, initial=initial)
+    seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu, initial=initial)
     mean_seq, std_seq = moments(seq)
     m = conditional_moments(p)
     diff = seq.amplitudes - joint.amplitudes
-    l2 = math.sqrt(float(np.sum(diff * diff)) * grid.dx)
+    l2 = math.sqrt(float(np.sum(np.square(diff, out=diff))) * grid.dx)
     checks = [
         ("l2_sequential_vs_joint", l2, 1e-9),
         ("probability_sequential_vs_joint", abs(p_seq - p_joint), 1e-9),

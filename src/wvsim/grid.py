@@ -20,17 +20,29 @@ Two design rules keep the oracle honest:
   units beyond that, so no shift ever pushes nonzero amplitude off the edge.
 
 The joint-coupling evolution couples n qubits to one shared pointer at
-once and post-selects every qubit: for each of the 2^n bitstrings in
-turn it weights the initial Gaussian's support into one reused buffer and
-adds it into the conditional state at the bitstring's translation, so it
-holds O(nodes) memory while doing 2^n x support work; sequential and
-joint paths must agree, which is the protocol's central equivalence.
+once and post-selects every qubit.  A bitstring's row is the initial
+Gaussian weighted and translated by its count of H bits, so there are only
+n + 1 distinct rows.  The route walks the nodes the rows touch in blocks
+of BLOCK_NODES: in each block it forms the n + 1 rows once and adds them
+into the conditional state in bitstring order, so every node receives the
+same products in the same order as a row-by-row sum over the 2^n
+bitstrings, while the block's rows are read from cache.  It holds O(nodes) memory while
+doing 2^n x support work; sequential and joint paths must agree, which is
+the protocol's central equivalence.
 
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
 final state: the per-block pass weights telescope to it.  Both take that
-norm once, in the same routine, which also normalizes the state.  Both
-refuse grids of more than MAX_GRID_NODES nodes before allocating any.
+norm once, in the same routine, which also normalizes the state in place.
+Both refuse grids of more than MAX_GRID_NODES nodes before allocating any.
+A caller that runs both routes (the `oracle` command) builds the initial
+Gaussian once with `initial_state` and passes it to each as `initial=`;
+neither route writes into it.
+
+The kernels allocate no node-sized temporaries: the sequential blocks
+alternate between two node buffers, and the exact sums and the blocks'
+weighted translations go through scratch buffers of at most
+EXACT_SUM_CHUNK and BLOCK_NODES entries.
 """
 from __future__ import annotations
 
@@ -51,12 +63,30 @@ SUPPORT_SIGMAS = 8.0
 MAX_JOINT_ENTRIES = 2 ** 27
 
 # Refuse grids of more than this many nodes before any node array exists.
-# Building the conditional sampler peaks at ~40 bytes per node (tracemalloc),
-# so the budget holds a grid evolution near 1 GB.
+# Building the conditional sampler peaks at ~32 bytes per node (tracemalloc,
+# 1.07M nodes), so the budget holds a grid evolution near 800 MB.
 MAX_GRID_NODES = 25_000_000
 
-# Entries per pass of the exact sum: bounds its temporaries and its bins.
-EXACT_SUM_CHUNK = 2 ** 16
+# Entries per pass of the exact sum: bounds its scratch buffers.  A click
+# grid (6-11k nodes) fits in one pass, which keeps the cost per call low.
+EXACT_SUM_CHUNK = 2 ** 14
+
+# Bins of the exact sum: a finite double's frexp exponent plus 1074 lies in
+# [1, 2098].
+_EXACT_SUM_BINS = 2099
+
+# Copies of each exact-sum bin that consecutive entries rotate through, and
+# each entry's copy.
+_EXACT_SUM_LANES = 4
+_EXACT_SUM_LANE = np.arange(EXACT_SUM_CHUNK) % _EXACT_SUM_LANES
+_EXACT_SUM_LANE.flags.writeable = False
+
+# Nodes per block of the joint accumulation, and the length of a sequential
+# block's scratch buffer.  A larger block means fewer numpy calls (2^n adds
+# per block); at 2^15 the n + 1 rows of an n = 7 oracle take 2 MiB, about
+# one L2 cache, and 2^16 raised the oracle's peak memory (measured on a
+# 2-CPU Xeon, one process pinned to one CPU).
+BLOCK_NODES = 2 ** 15
 
 
 def _past_float_range(dx: float) -> str:
@@ -111,7 +141,9 @@ class GridSpec:
 
     def positions(self) -> np.ndarray:
         m = self.half_nodes
-        return np.arange(-m, m + 1) * self.dx
+        x = np.arange(-m, m + 1, dtype=float)
+        x *= self.dx
+        return x
 
 
 @dataclass
@@ -139,44 +171,85 @@ class GridWavefunction:
 
     def squared_norm(self) -> float:
         """Riemann squared norm sum |psi_i|^2 dx, summed exactly and rounded
-        once, so the value is independent of where the support sits."""
-        return _exact_sum(self.amplitudes * self.amplitudes) * self.spec.dx
+        once, so the value is independent of where the support sits.  The
+        squares are formed chunk by chunk inside the exact sum, never as a
+        node-sized array."""
+        return _exact_sum(self.amplitudes, squares=True) * self.spec.dx
 
     def normalized(self) -> "GridWavefunction":
-        return self._normalized_with_norm()[0]
+        wf = GridWavefunction(self.spec, self.amplitudes.copy())
+        wf._normalize()
+        return wf
 
-    def _normalized_with_norm(self) -> tuple["GridWavefunction", float]:
-        """The state scaled to unit norm, and its squared norm before scaling."""
+    def _normalize(self) -> float:
+        """Scales the amplitudes to unit norm in place; returns the squared
+        norm before scaling."""
         squared = self.squared_norm()
         norm = math.sqrt(squared)
         if norm <= 0:
             raise InvalidParameterError("cannot normalize a zero wavefunction")
         # Times the reciprocal, as numpy divides a complex array by a real
         # scalar: a plain division would move the last bits of the state.
-        return GridWavefunction(self.spec, self.amplitudes * (1.0 / norm)), squared
+        self.amplitudes *= 1.0 / norm
+        return squared
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, equal to math.fsum.
+def _exact_sum(values: np.ndarray, *, squares: bool = False) -> float:
+    """Correctly rounded sum of a float64 array, or of its squares with
+    squares=True, equal to math.fsum of those values.
 
     np.frexp gives each value as M 2^(b - 1127), integer |M| < 2^53, bin b >= 1.
-    np.bincount sums M's parts above and below 2^27 per bin, exactly (below
-    2^53 over EXACT_SUM_CHUNK entries); one Python int / int division rounds.
+    Each chunk of EXACT_SUM_CHUNK entries is split in place, in three
+    preallocated buffers, into M's parts above and below 2^27, and
+    np.bincount sums each part per bin, exactly: the sums stay below 2^41.
+    The bins span the chunk's own exponent range, and consecutive entries
+    rotate through _EXACT_SUM_LANES copies of each bin, so that neighbours,
+    which often share a bin, do not wait on each other's addition.  The
+    per-bin sums of all chunks accumulate in int64, exactly for up to 2^34
+    entries, and are combined as a Python int once, at the end; one int /
+    int division rounds.  Scratch memory is O(EXACT_SUM_CHUNK), whatever the
+    input's length.
     """
-    if not np.isfinite(values).all():
-        return float(np.sum(values))  # inf or nan
+    size = values.size
+    width = min(size, EXACT_SUM_CHUNK)
+    mantissa, high = np.empty(width), np.empty(width)
+    exponent = np.empty(width, dtype=np.intp)
+    sums = np.zeros((2, _EXACT_SUM_BINS), dtype=np.int64)
+    for start in range(0, size, EXACT_SUM_CHUNK):
+        chunk = values[start:start + EXACT_SUM_CHUNK]
+        m, h, e = mantissa[:chunk.size], high[:chunk.size], exponent[:chunk.size]
+        if squares:
+            np.multiply(chunk, chunk, out=m)
+            chunk = m
+        np.frexp(chunk, out=(m, e))
+        m *= 2.0 ** 26  # M 2^-27
+        np.floor(m, out=h)
+        m -= h  # the fraction, exactly
+        m *= 2.0 ** 27
+        first = int(e.min())
+        count = int(e.max()) - first + 1
+        e -= first
+        e *= _EXACT_SUM_LANES
+        e += _EXACT_SUM_LANE[:e.size]
+        into = slice(first + 1074, first + 1074 + count)
+        for row, part in enumerate((h, m)):
+            bins = np.bincount(e, weights=part, minlength=count * _EXACT_SUM_LANES)
+            bins = bins.reshape(count, _EXACT_SUM_LANES).sum(axis=1)
+            if not np.isfinite(bins).all():  # inf or nan in the input
+                return float(np.sum(values * values if squares else values))
+            sums[row, into] += bins.astype(np.int64)
+    # bins[j] counts 2^(j - 1127): low parts at their bin, high ones 27 up.
+    bins = np.zeros(_EXACT_SUM_BINS + 27, dtype=np.int64)
+    bins[:-27] = sums[1]
+    bins[27:] += sums[0]
+    used = np.flatnonzero(bins)
+    if used.size == 0:
+        return 0.0
+    base = int(used[0])
     total = 0
-    for start in range(0, values.size, EXACT_SUM_CHUNK):
-        mantissa, exponent = np.frexp(values[start:start + EXACT_SUM_CHUNK])
-        mantissa *= 2.0 ** 53
-        high = np.floor(mantissa * 2.0 ** -27)
-        mantissa -= high * 2.0 ** 27
-        exponent += 1074
-        for part, scale in ((high, 27), (mantissa, 0)):
-            bins = np.bincount(exponent, weights=part)
-            for i in np.flatnonzero(bins).tolist():
-                total += int(bins[i]) << (i + scale)
-    return total / (1 << 1127)
+    for j, bin_sum in zip(used.tolist(), bins[used].tolist()):
+        total += bin_sum << (j - base)
+    return (total << base) / (1 << 1127)
 
 
 def init_gaussian(spec: GridSpec, width: float) -> GridWavefunction:
@@ -192,11 +265,25 @@ def init_gaussian(spec: GridSpec, width: float) -> GridWavefunction:
             f"domain half_span {spec.half_span} cannot hold {SUPPORT_SIGMAS} sigma "
             f"support of a width-{width} Gaussian"
         )
-    x = spec.positions()
-    inside = np.abs(x) <= SUPPORT_SIGMAS * width
+    # Node i sits at i dx, which grows with i, so the nodes within the cutoff
+    # are the contiguous run -k..k; exp is evaluated on that run only.
+    cut = SUPPORT_SIGMAS * width
+    m = spec.half_nodes
+    k = min(m, math.floor(cut / spec.dx))
+    while k < m and (k + 1) * spec.dx <= cut:
+        k += 1
+    while k * spec.dx > cut:
+        k -= 1
     amps = np.zeros(spec.node_count)
-    amps[inside] = np.exp(-(x[inside] ** 2) / (4.0 * width * width))
-    return GridWavefunction(spec, amps).normalized()
+    support = amps[m - k:m + k + 1]
+    np.multiply(np.arange(-k, k + 1), spec.dx, out=support)
+    np.square(support, out=support)
+    np.negative(support, out=support)
+    support /= 4.0 * width * width
+    np.exp(support, out=support)
+    wf = GridWavefunction(spec, amps)
+    wf._normalize()
+    return wf
 
 
 def _translation(amps: np.ndarray, spec: GridSpec, displacement: float) -> tuple[slice, slice]:
@@ -225,20 +312,60 @@ def apply_block(wf: GridWavefunction, mu: float, nu: float) -> GridWavefunction:
 
     Returns the unnormalized output, mu times wf moved by +1 plus nu times
     wf moved by -1; its squared norm over the input's is the block's pass
-    weight.  Weights (1, 0) and (0, 1) give the exact unit shifts.
+    weight.  Weights (1, 0) and (0, 1) give the exact unit shifts.  The
+    sequential route runs the same kernel, `_block_into`, on reused buffers;
+    this form allocates the output and a scratch buffer of at most
+    BLOCK_NODES entries.
     """
     amps = wf.amplitudes
-    dst_plus, src_plus = _translation(amps, wf.spec, +1.0)
-    dst_minus, src_minus = _translation(amps, wf.spec, -1.0)
-    out = np.zeros_like(amps)
-    np.multiply(amps[src_plus], mu, out=out[dst_plus])
-    minus = np.multiply(amps[src_minus], nu)
-    out[dst_minus] += minus
+    out = np.empty_like(amps)
+    _block_into(out, amps, wf.spec, mu, nu, np.empty(min(BLOCK_NODES, amps.size)))
     return GridWavefunction(wf.spec, out)
 
 
+def _block_into(
+    out: np.ndarray, amps: np.ndarray, spec: GridSpec, mu: float, nu: float,
+    scratch: np.ndarray,
+) -> None:
+    """Writes mu * (amps moved by +1) + nu * (amps moved by -1) into `out`,
+    which must not overlap `amps`.  The nu products pass through `scratch`
+    a block at a time and are added in place."""
+    dst, src = _translation(amps, spec, +1.0)
+    np.multiply(amps[src], mu, out=out[dst])
+    out[:dst.start] = 0.0
+    dst, src = _translation(amps, spec, -1.0)
+    into, amps = out[dst], amps[src]
+    for start in range(0, amps.size, scratch.size):
+        part = scratch[:min(scratch.size, amps.size - start)]
+        np.multiply(amps[start:start + part.size], nu, out=part)
+        into[start:start + part.size] += part
+
+
+def initial_state(params: ProtocolParams, spec: GridSpec) -> GridWavefunction:
+    """The normalized initial Gaussian of both routes, for a caller that
+    runs both on one grid and passes it to each as `initial=`.
+
+    Runs both routes' guards first, in evolve_joint's order, so nothing is
+    allocated for a grid that either route would refuse."""
+    _require_domain(params, spec)
+    _check_joint_budget(params, spec)
+    return init_gaussian(spec, params.delta)
+
+
+def _start(params: ProtocolParams, spec: GridSpec, initial: GridWavefunction | None) -> np.ndarray:
+    """Amplitudes a route starts from: `initial`'s, read only, or a fresh
+    init_gaussian(spec, params.delta)."""
+    if initial is None:
+        return init_gaussian(spec, params.delta).amplitudes
+    if initial.spec != spec:
+        raise InvalidParameterError(
+            f"initial state lives on {initial.spec}, not on the evolution's {spec}")
+    return initial.amplitudes
+
+
 def evolve_sequential(
-    params: ProtocolParams, spec: GridSpec, mu_offset: float = 0.0
+    params: ProtocolParams, spec: GridSpec, mu_offset: float = 0.0, *,
+    initial: GridWavefunction | None = None,
 ) -> tuple[GridWavefunction, float]:
     """Run the n-block sequential protocol on the grid.
 
@@ -247,15 +374,27 @@ def evolve_sequential(
     the initial Gaussian is normalized.  evolve_joint computes its
     probability the same way.
 
+    `initial`, if given, must be init_gaussian(spec, params.delta) (see
+    `initial_state`); it is read, never written.  The blocks alternate
+    between two node buffers; without `initial`, the Gaussian built here
+    is one of them.
+
     mu_offset perturbs the +1 coupling amplitude and exists only as a
     negative-control hook for verification tooling; leave it at 0.
     """
     _require_domain(params, spec)
     w = coupling_weights(params)
-    wf = init_gaussian(spec, params.delta)
-    for _ in range(params.n):
-        wf = apply_block(wf, w.mu + mu_offset, w.nu)
-    return wf._normalized_with_norm()
+    amps = _start(params, spec, initial)
+    # A Gaussian built here is the route's own, so it is the second buffer.
+    spare = amps if initial is None else np.empty(spec.node_count)
+    buffers = (np.empty(spec.node_count), spare)
+    scratch = np.empty(min(BLOCK_NODES, spec.node_count))
+    for i in range(params.n):
+        out = buffers[i % 2]
+        _block_into(out, amps, spec, w.mu + mu_offset, w.nu, scratch)
+        amps = out
+    wf = GridWavefunction(spec, amps)
+    return wf, wf._normalize()
 
 
 def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
@@ -280,7 +419,9 @@ def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
         )
 
 
-def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefunction, float]:
+def evolve_joint(
+    params: ProtocolParams, spec: GridSpec, *, initial: GridWavefunction | None = None,
+) -> tuple[GridWavefunction, float]:
     """Joint-coupling route: n pre-selected qubits, one shared pointer,
     single sum coupling, then post-selection of every qubit.
 
@@ -288,17 +429,25 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     |H>): row b is the initial Gaussian translated by (#H - #V) units and
     weighted by its pre-selection amplitude.  Projecting every qubit onto
     the post-selection state and tracing the qubits out is linear in the
-    rows, so each row is projected as soon as it is built, in bitstring
-    order, as post * (pre * chi) in one reused buffer that spans chi's
-    nonzero support only.  The sum is the unnormalized conditional pointer
-    state, whose squared norm is the success probability.
+    rows, so each row is projected, post * (pre * chi), and added into the
+    conditional state in bitstring order.  A row depends only on its count
+    h of H bits, so the nodes the rows touch are walked in blocks of
+    BLOCK_NODES: per block, the n + 1 distinct rows are formed once in a
+    buffer of (n + 1) x BLOCK_NODES entries at most, over chi's nonzero
+    support only, then added for the 2^n bitstrings in turn.  Each node
+    receives the same products in the same order as a row-by-row sum.  The
+    sum is the unnormalized conditional pointer state, whose squared norm is
+    the success probability.
+
+    `initial`, if given, must be init_gaussian(spec, params.delta) (see
+    `initial_state`); it is read, never written.
 
     Must agree with evolve_sequential; that equivalence is what makes the
     sequential protocol measure the sum observable.
     """
     _require_domain(params, spec)
     _check_joint_budget(params, spec)
-    chi = init_gaussian(spec, params.delta).amplitudes
+    chi = _start(params, spec, initial)
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)
@@ -307,26 +456,41 @@ def evolve_joint(params: ProtocolParams, spec: GridSpec) -> tuple[GridWavefuncti
     # they keep chi's nonzero support [lo, hi) on the grid at every shift.
     for h in range(n + 1):
         _translation(chi, spec, 2 * h - n)
-    support = np.flatnonzero(chi)
-    lo, hi = int(support[0]), int(support[-1]) + 1
-    chi = chi[lo:hi]
+    lo, hi = int(np.argmax(chi != 0)), chi.size - int(np.argmax(chi[::-1] != 0))
+    unit = spec.nodes_per_unit
+    first, stop = lo - n * unit, hi + n * unit
     phi = np.zeros(spec.node_count)
-    row = np.empty(hi - lo)
-    for b in range(2 ** n):
-        h = bin(b).count("1")
-        s = (2 * h - n) * spec.nodes_per_unit
-        np.multiply(chi, ca ** h * sa ** (n - h), out=row)
-        np.multiply(row, cb ** h * sb ** (n - h), out=row)
-        phi[lo + s:hi + s] += row
-    return GridWavefunction(spec, phi)._normalized_with_norm()
+    rows = np.empty((n + 1, min(BLOCK_NODES, stop - first)))
+    for begin in range(first, stop, BLOCK_NODES):
+        end = min(begin + BLOCK_NODES, stop)
+        adds = []
+        for h in range(n + 1):
+            # Row h is chi's support moved by s nodes; [a, z) is its part in
+            # this block, possibly empty.
+            s = (2 * h - n) * unit
+            a = max(begin, lo + s)
+            z = max(a, min(end, hi + s))
+            row = rows[h, a - begin:z - begin]
+            np.multiply(chi[a - s:z - s], ca ** h * sa ** (n - h), out=row)
+            np.multiply(row, cb ** h * sb ** (n - h), out=row)
+            adds.append((phi[a:z], row))
+        for b in range(2 ** n):
+            into, row = adds[b.bit_count()]
+            into += row
+    wf = GridWavefunction(spec, phi)
+    return wf, wf._normalize()
 
 
 def moments(wf: GridWavefunction) -> tuple[float, float]:
     """Riemann-sum (mean, std) of |psi|^2; expects a normalized input."""
     x = wf.spec.positions()
-    dens = (wf.amplitudes * wf.amplitudes) * wf.spec.dx
-    mean = float(np.sum(x * dens))
-    var = float(np.sum(x * x * dens)) - mean * mean
+    dens = wf.amplitudes * wf.amplitudes
+    dens *= wf.spec.dx
+    product = x * dens
+    mean = float(np.sum(product))
+    np.multiply(x, x, out=product)
+    product *= dens
+    var = float(np.sum(product)) - mean * mean
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -335,8 +499,12 @@ def cdf(wf: GridWavefunction) -> np.ndarray:
     owns half of its own cell mass, so a symmetric density gives exactly
     0.5 at x = 0.  Nondecreasing, final entry 1 (minus half the boundary
     cell, which is empty by construction)."""
-    dens = (wf.amplitudes * wf.amplitudes) * wf.spec.dx
-    return np.cumsum(dens) - 0.5 * dens
+    dens = wf.amplitudes * wf.amplitudes
+    dens *= wf.spec.dx
+    out = np.cumsum(dens)
+    dens *= 0.5
+    out -= dens
+    return out
 
 
 def write_density(wf: GridWavefunction, out: TextIO) -> None:

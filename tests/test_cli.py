@@ -314,6 +314,19 @@ class TestOracleCommand:
         assert "budget" in capsys.readouterr().err
         assert calls == []
 
+    def test_one_initial_gaussian_per_oracle(self, monkeypatch, capsys):
+        # Both routes start from the one Gaussian the oracle builds.
+        built = []
+        real = grid.init_gaussian
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(grid, "init_gaussian", counting)
+        assert run_cli(["oracle", "--preset", "a", "--grid_dx", "0.05"]) == 0
+        assert len(built) == 1
+
 
 class TestOversizedGrid:
     @pytest.mark.parametrize("argv", [

@@ -22,7 +22,9 @@ from wvsim import (
     write_density,
 )
 from wvsim.analytic import coupling_weights
+from wvsim import grid
 from wvsim.grid import (
+    BLOCK_NODES,
     MAX_GRID_NODES,
     SUPPORT_SIGMAS,
     GridWavefunction,
@@ -32,7 +34,9 @@ from wvsim.grid import (
     _translation,
     apply_block,
     init_gaussian,
+    initial_state,
 )
+from wvsim.montecarlo import _conditional_sampler
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
@@ -417,7 +421,7 @@ class TestEvolveJoint:
                     refused = True
                 assert refused == refused_in_bytes, (n, dx)
 
-    def test_matches_materialized_projection(self):
+    def test_matches_materialized_projection(self, monkeypatch):
         # Reference: fill the full 2^n x nodes coupled state first, each row
         # over the whole domain, then project it, as the joint route did
         # before it streamed the rows.  The state is real, so it is filled
@@ -426,22 +430,45 @@ class TestEvolveJoint:
             chi = init_gaussian(spec, params.delta).amplitudes
             n = params.n
             ca, sa = math.cos(params.alpha), math.sin(params.alpha)
+            shifted = [translated(chi, spec, 2 * h - n) for h in range(n + 1)]
             state = np.empty((2 ** n, spec.node_count))
             for b in range(2 ** n):
                 h = bin(b).count("1")
-                state[b] = (ca ** h * sa ** (n - h)) * translated(chi, spec, 2 * h - n)
+                state[b] = (ca ** h * sa ** (n - h)) * shifted[h]
             cb, sb = math.cos(params.beta), math.sin(params.beta)
             phi = np.zeros(spec.node_count)
             for b in range(2 ** n):
                 h = bin(b).count("1")
                 phi += (cb ** h * sb ** (n - h)) * state[b]
-            return GridWavefunction(spec, phi)._normalized_with_norm()
+            wf = GridWavefunction(spec, phi)
+            return wf, wf._normalize()
 
+        def touched_nodes(params, spec):
+            support = np.flatnonzero(init_gaussian(spec, params.delta).amplitudes)
+            return support[-1] + 1 - support[0] + 2 * params.n * spec.nodes_per_unit
+
+        def check(params, dx):
+            spec = GridSpec.for_protocol(params, dx=dx)
+            wf, prob = evolve_joint(params, spec)
+            ref, ref_prob = materialized(params, spec)
+            assert np.array_equal(wf.amplitudes, ref.amplitudes)
+            assert np.array_equal(np.signbit(wf.amplitudes), np.signbit(ref.amplitudes))
+            assert prob == ref_prob
+
+        # The bench grid: its touched range spans several blocks, and its
+        # unit shift of 1000 nodes is no divisor of the block size.
+        bench = PRESETS["a"]
+        bench_spec = GridSpec.for_protocol(bench, dx=0.001)
+        assert touched_nodes(bench, bench_spec) > 3 * BLOCK_NODES
+        assert BLOCK_NODES % bench_spec.nodes_per_unit != 0
+        check(bench, 0.001)
+        # A range shorter than one block; n = 1; n = 16 at dx 0.5, where
+        # the Gaussian has a single nonzero node.
         settings = [(PRESETS[label], 0.05) for label in "abcd"]
-        # The bench grid, where the support covers 87% of the nodes.
-        settings.append((PRESETS["a"], 0.001))
+        settings.append((ProtocolParams(n=1, alpha=0.62, beta=2.53, delta=1.3), 0.05))
+        settings.append((ProtocolParams(n=16, alpha=0.62, beta=2.53, delta=0.05), 0.5))
         rng = np.random.default_rng(17)
-        while len(settings) < 15:
+        while len(settings) < 20:
             a, b = rng.uniform(0, 2 * math.pi, size=2)
             params = ProtocolParams(
                 n=int(rng.integers(1, 9)), alpha=float(a), beta=float(b),
@@ -453,11 +480,28 @@ class TestEvolveJoint:
                 continue
             settings.append((params, 0.05))
         for params, dx in settings:
-            spec = GridSpec.for_protocol(params, dx=dx)
-            wf, prob = evolve_joint(params, spec)
-            ref, ref_prob = materialized(params, spec)
-            assert np.array_equal(wf.amplitudes, ref.amplitudes)
-            assert prob == ref_prob
+            assert touched_nodes(params, GridSpec.for_protocol(params, dx=dx)) < BLOCK_NODES
+            check(params, dx)
+        # Many short blocks, whose edges cut the rows at every offset from
+        # the unit shift of 20 nodes.
+        monkeypatch.setattr(grid, "BLOCK_NODES", 97)
+        for params, dx in settings[:-1]:
+            check(params, dx)
+
+    def test_no_memory_per_bitstring(self):
+        # n = 16 has 65536 bitstrings but a 67-node grid: the route holds
+        # O(nodes) memory plus the exact sum's fixed bins, nothing of length
+        # 2^n (a list of 2^n references alone would take 8 * 2^n bytes).
+        params = ProtocolParams(n=16, alpha=0.62, beta=2.53, delta=0.05)
+        spec = GridSpec.for_protocol(params, dx=0.5)
+        assert spec.node_count < 100
+        tracemalloc.start()
+        try:
+            evolve_joint(params, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** params.n
 
     def test_memory_stays_linear_in_nodes(self):
         # 2^10 bitstring rows, but only a few node-sized arrays alive at once.
@@ -470,6 +514,59 @@ class TestEvolveJoint:
         finally:
             tracemalloc.stop()
         assert peak < 16 * spec.node_count * 16
+
+
+class TestSharedInitialState:
+    @pytest.mark.parametrize("label, dx", [("a", 0.01), ("d", 0.001)])
+    def test_routes_never_write_the_initial_state(self, label, dx):
+        # One Gaussian feeds both routes (the oracle's setup); each route
+        # returns the same bits as when it builds its own.
+        params = PRESETS[label]
+        spec = GridSpec.for_protocol(params, dx=dx)
+        initial = initial_state(params, spec)
+        before = initial.amplitudes.copy()
+        initial.amplitudes.flags.writeable = False
+        for evolve in (evolve_joint, evolve_sequential):
+            wf, prob = evolve(params, spec, initial=initial)
+            ref, ref_prob = evolve(params, spec)
+            assert np.array_equal(wf.amplitudes, ref.amplitudes)
+            assert prob == ref_prob
+        assert np.array_equal(initial.amplitudes, before)
+        assert np.array_equal(initial.amplitudes, init_gaussian(spec, params.delta).amplitudes)
+
+    def test_initial_state_on_another_grid_is_refused(self):
+        params = PRESETS["a"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        other = initial_state(params, GridSpec.for_protocol(params, dx=0.1))
+        for evolve in (evolve_joint, evolve_sequential):
+            with pytest.raises(InvalidParameterError, match="initial state"):
+                evolve(params, spec, initial=other)
+
+    def test_guards_run_before_the_gaussian_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(grid, "init_gaussian", lambda *a: built.append(a))
+        params = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
+        with pytest.raises(MemoryGuardError, match="budget"):
+            initial_state(params, GridSpec.for_protocol(params, dx=0.001))
+        with pytest.raises(TruncationError, match="n \\+ 8 delta"):
+            initial_state(params, GridSpec(dx=0.05, half_span=20.0))
+        assert built == []
+
+
+class TestMemoryBudget:
+    def test_sampler_build_bytes_per_node(self):
+        # MAX_GRID_NODES and README's bytes-per-node figure rest on this
+        # peak: 32.0 bytes per node, measured with tracemalloc.
+        params = PRESETS["a"]
+        spec = GridSpec.for_protocol(params, dx=0.0001)
+        assert spec.node_count >= 10 ** 6
+        tracemalloc.start()
+        try:
+            _conditional_sampler.__wrapped__(params, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * spec.node_count
 
 
 class TestMomentsAndCdf:

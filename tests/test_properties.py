@@ -9,12 +9,14 @@ examples.
 """
 import math
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wvsim import (  # noqa: E402
     PRESETS,
@@ -31,7 +33,7 @@ from wvsim import (  # noqa: E402
     run_trials,
 )
 from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
-from wvsim.grid import EXACT_SUM_CHUNK, _exact_sum  # noqa: E402
+from wvsim.grid import EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum  # noqa: E402
 from wvsim.montecarlo import (  # noqa: E402
     _ACCEPT_STREAM,
     _accepted_indices,
@@ -121,12 +123,40 @@ def test_exact_sum_equals_fsum(values):
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(
     pattern=st.lists(wide_floats, min_size=1, max_size=40),
-    length=st.sampled_from([1, 2]).flatmap(
+    length=st.sampled_from([1, 2, 41]).flatmap(
         lambda chunks: st.integers(chunks * EXACT_SUM_CHUNK - 3, chunks * EXACT_SUM_CHUNK + 3)),
 )
+@example(pattern=[1.0, -3.0e-300, 2.0 ** 60, -2.0 ** 60, 5e-324], length=41 * EXACT_SUM_CHUNK + 3)
 def test_exact_sum_equals_fsum_across_chunks(pattern, length):
     values = np.resize(np.array(pattern), length)
     assert _exact_sum(values) == math.fsum(values)
+    roots = np.sqrt(np.abs(values))  # squares of the same spread that cannot overflow
+    assert _exact_sum(roots, squares=True) == math.fsum(roots * roots)
+
+
+def test_exact_sum_worst_case_carry():
+    # Every entry has an all-ones mantissa, so both parts of every entry
+    # take their largest value, in one bin: the heaviest load the per-bin
+    # sums can carry, over every chunk of the largest grid the node budget
+    # admits.  A broadcast view holds the full length in no memory.
+    value = float(np.nextafter(2.0, 0.0))
+    values = np.broadcast_to(value, (MAX_GRID_NODES,))
+    exact = float(Fraction(value) * MAX_GRID_NODES)  # correctly rounded, as fsum
+    assert _exact_sum(values) == exact
+    assert _exact_sum(-values) == -exact
+
+
+@pytest.mark.parametrize("squares", [False, True])
+def test_exact_sum_memory_is_one_chunk(squares):
+    values = np.random.default_rng(3).standard_normal(10 ** 6)
+    tracemalloc.start()
+    try:
+        _exact_sum(values, squares=squares)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Three chunk buffers plus fixed bins, against 8 MB of input.
+    assert peak < 4 * 8 * EXACT_SUM_CHUNK + 2 ** 16
 
 
 @kernel_settings
