@@ -39,10 +39,10 @@ A caller that runs both routes (the `oracle` command) builds the initial
 Gaussian once with `initial_state` and passes it to each as `initial=`;
 neither route writes into it.
 
-The kernels allocate no node-sized temporaries: the sequential blocks
-alternate between two node buffers, and the exact sums and the blocks'
-weighted translations go through scratch buffers of at most
-EXACT_SUM_CHUNK and BLOCK_NODES entries.
+The evolutions and the exact sum allocate no node-sized temporaries: the
+sequential blocks alternate between two node buffers, and the exact sums
+and the blocks' weighted translations go through scratch buffers of at
+most EXACT_SUM_CHUNK and BLOCK_NODES entries.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ SUPPORT_SIGMAS = 8.0
 MAX_JOINT_ENTRIES = 2 ** 27
 
 # Refuse grids of more than this many nodes before any node array exists.
-# Building the conditional sampler peaks at ~32 bytes per node (tracemalloc,
-# 1.07M nodes), so the budget holds a grid evolution near 800 MB.
+# Building the conditional sampler peaks at ~40 bytes per node (tracemalloc),
+# so the budget holds a grid evolution near 1 GB.
 MAX_GRID_NODES = 25_000_000
 
 # Entries per pass of the exact sum: bounds its scratch buffers.  A click
@@ -141,9 +141,7 @@ class GridSpec:
 
     def positions(self) -> np.ndarray:
         m = self.half_nodes
-        x = np.arange(-m, m + 1, dtype=float)
-        x *= self.dx
-        return x
+        return np.arange(-m, m + 1) * self.dx
 
 
 @dataclass
@@ -499,12 +497,8 @@ def cdf(wf: GridWavefunction) -> np.ndarray:
     owns half of its own cell mass, so a symmetric density gives exactly
     0.5 at x = 0.  Nondecreasing, final entry 1 (minus half the boundary
     cell, which is empty by construction)."""
-    dens = wf.amplitudes * wf.amplitudes
-    dens *= wf.spec.dx
-    out = np.cumsum(dens)
-    dens *= 0.5
-    out -= dens
-    return out
+    dens = (wf.amplitudes * wf.amplitudes) * wf.spec.dx
+    return np.cumsum(dens) - 0.5 * dens
 
 
 def write_density(wf: GridWavefunction, out: TextIO) -> None:

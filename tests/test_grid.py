@@ -556,7 +556,8 @@ class TestSharedInitialState:
 class TestMemoryBudget:
     def test_sampler_build_bytes_per_node(self):
         # MAX_GRID_NODES and README's bytes-per-node figure rest on this
-        # peak: 32.0 bytes per node, measured with tracemalloc.
+        # peak: five node arrays at once in `cdf`, 40.0 bytes per node plus
+        # a few kB of fixed objects, measured with tracemalloc.
         params = PRESETS["a"]
         spec = GridSpec.for_protocol(params, dx=0.0001)
         assert spec.node_count >= 10 ** 6
@@ -566,7 +567,7 @@ class TestMemoryBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 33 * spec.node_count
+        assert peak <= 40 * spec.node_count + 2 ** 16
 
 
 class TestMomentsAndCdf:
