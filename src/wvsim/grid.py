@@ -26,9 +26,9 @@ n + 1 distinct rows.  The route walks the nodes the rows touch in blocks
 of BLOCK_NODES: in each block it forms the n + 1 rows once and adds them
 into the conditional state in bitstring order, so every node receives the
 same products in the same order as a row-by-row sum over the 2^n
-bitstrings, while the block's rows are read from cache.  It holds O(nodes) memory while
-doing 2^n x support work; sequential and joint paths must agree, which is
-the protocol's central equivalence.
+bitstrings, while the block's rows are read from cache.  It holds O(nodes)
+memory while doing 2^n x support work; sequential and joint paths must
+agree, which is the protocol's central equivalence.
 
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
@@ -39,10 +39,11 @@ A caller that runs both routes (the `oracle` command) builds the initial
 Gaussian once with `initial_state` and passes it to each as `initial=`;
 neither route writes into it.
 
-The evolutions and the exact sum allocate no node-sized temporaries: the
-sequential blocks alternate between two node buffers, and the exact sums
-and the blocks' weighted translations go through scratch buffers of at
-most EXACT_SUM_CHUNK and BLOCK_NODES entries.
+Besides its state buffers (the joint route's one, the sequential route's
+two, between which its blocks alternate), an evolution allocates only
+scratch whose size the grid does not raise past a constant: at most
+EXACT_SUM_CHUNK entries per exact-sum buffer, BLOCK_NODES entries for a
+block's weighted translation and n + 1 joint rows of BLOCK_NODES entries.
 """
 from __future__ import annotations
 
@@ -330,7 +331,7 @@ def _block_into(
     a block at a time and are added in place."""
     dst, src = _translation(amps, spec, +1.0)
     np.multiply(amps[src], mu, out=out[dst])
-    out[:dst.start] = 0.0
+    out[:dst.start] = 0.0  # the first unit's nodes get no +1 term
     dst, src = _translation(amps, spec, -1.0)
     into, amps = out[dst], amps[src]
     for start in range(0, amps.size, scratch.size):
