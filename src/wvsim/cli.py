@@ -8,14 +8,17 @@ click   run trials until the first accepted click and judge its anomaly
 sweep   weak value and pointer width over a post-selection angle grid
 oracle  grid cross-check: sequential vs joint evolution vs closed forms
 
-Configuration is a flat `key = value` file (keys: n, alpha, beta, delta,
-grid_dx, grid_half_span, pixel_pitch, trials, seed, out); command-line
-flags with the same names override file values, and --preset a|b|c|d
-loads a bundled parameter set.  Angles are radians unless --degrees is
-given, which converts angle values supplied on the command line (config
-files stay radians).  Every output starts with a comment header echoing
-the resolved configuration, so a rerun with the same header inputs
-reproduces the file byte for byte.
+Each command reads the settings COMMAND_KEYS lists for it, and only
+those: they are its flags, the values build_config resolves for it and
+its header lines.  Every command takes --config (a flat `key = value`
+file) and --out; --preset a|b|c|d loads a bundled parameter set where n
+is read, and --degrees, where angles are read, converts angle values
+supplied on the command line (config files stay radians).  Later
+sources override earlier ones: defaults, config file, preset, flags.  A
+config file may hold any key of any command; a command ignores the keys
+it does not read.  Every output starts with a comment header echoing the
+command, the settings it read and its own extras, so a rerun with the
+same header inputs reproduces the file byte for byte.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical or physics error,
 3 verification failure.
@@ -26,20 +29,14 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import ProtocolParams, conditional_moments, expectation_sigma_sum, sweep_beta
 from .errors import InvalidParameterError, MemoryGuardError, ProtocolError
-from .grid import GridSpec, evolve_joint, evolve_sequential, initial_state, moments
+from .grid import DEFAULT_DX, GridSpec, evolve_joint, evolve_sequential, initial_state, moments
 from .montecarlo import MAX_TRIALS, DetectorModel, anomaly_report, first_click, run_trials
 from .presets import PRESETS
-
-DEFAULT_SEED = 101
-DEFAULT_TRIALS = 100_000_000
-DEFAULT_DX = 0.01
-DEFAULT_PIXEL_PITCH = 0.1
 
 # Ensemble size target of the `table` command: trials per row are chosen
 # so that roughly this many clicks survive post-selection.
@@ -51,23 +48,33 @@ TABLE_TARGET_CLICKS = 5000
 # near 360 MB.
 MAX_SWEEP_STEPS = 10 ** 6
 
-# Configuration keys and their types: the keys of a config file and the
-# flags of the same names, in help order.
+# Configuration keys and their types: the keys a config file may hold and
+# the flags of the same names.
 _CONFIG_KEYS = {
     "n": int, "alpha": float, "beta": float, "delta": float,
-    "grid_dx": float, "grid_half_span": float, "pixel_pitch": float,
-    "trials": int, "seed": int, "out": str,
+    "grid_dx": float, "pixel_pitch": float, "trials": int, "seed": int, "out": str,
 }
 
+# The settings each command reads, in header order.  Every command also
+# reads out, which is not echoed.
+COMMAND_KEYS = {
+    "wv": ("n", "alpha", "beta", "delta"),
+    "table": ("grid_dx", "pixel_pitch", "seed"),
+    "click": ("n", "alpha", "beta", "delta", "grid_dx", "pixel_pitch", "trials", "seed"),
+    "sweep": ("n", "alpha", "delta"),
+    "oracle": ("n", "alpha", "beta", "delta", "grid_dx"),
+}
 
-@dataclass
-class ExperimentConfig:
-    params: ProtocolParams
-    grid: GridSpec
-    detector: DetectorModel
-    trials: int
-    seed: int
-    output_path: str | None
+# Values of the settings that no config file, preset or flag sets: preset
+# a's protocol, and the library's grid spacing and pixel pitch.
+_DEFAULTS = {
+    **vars(PRESETS["a"]),
+    "grid_dx": DEFAULT_DX,
+    "pixel_pitch": DetectorModel.pixel_pitch,
+    "trials": 100_000_000,
+    "seed": 101,
+    "out": None,
+}
 
 
 def _fmt(value) -> str:
@@ -111,65 +118,39 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Resolve defaults, config file, preset and flags, in that order."""
-    values = {
-        **vars(PRESETS["a"]),
-        "grid_dx": DEFAULT_DX,
-        "grid_half_span": None,
-        "pixel_pitch": DEFAULT_PIXEL_PITCH,
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "out": None,
-    }
+def build_config(args: argparse.Namespace) -> dict:
+    """The settings args.command reads, plus out: defaults, config file,
+    preset and flags, later sources overriding earlier ones."""
+    keys = COMMAND_KEYS[args.command] + ("out",)
+    values = dict(_DEFAULTS)
     if args.config:
         values.update(parse_config_file(args.config))
-    if args.preset:
+    if getattr(args, "preset", None):
         values.update(vars(PRESETS[args.preset]))
     degrees = math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag * degrees if key in ("alpha", "beta") else flag
-    if not (0 <= values["seed"] < 2 ** 64):
+    values = {key: values[key] for key in keys}
+    if not (0 <= values.get("seed", 0) < 2 ** 64):
         raise InvalidParameterError("seed must fit in 64 unsigned bits")
-    if not (1 <= values["trials"] <= MAX_TRIALS):
+    if not (1 <= values.get("trials", 1) <= MAX_TRIALS):
         raise InvalidParameterError("trials must be in [1, 2**63 - 2]")
-    params = ProtocolParams(
-        n=int(values["n"]), alpha=values["alpha"], beta=values["beta"], delta=values["delta"]
-    )
-    if values["grid_half_span"] is None:
-        grid = GridSpec.for_protocol(params, dx=values["grid_dx"])
-    else:
-        grid = GridSpec(dx=values["grid_dx"], half_span=values["grid_half_span"])
-    detector = DetectorModel(pixel_pitch=values["pixel_pitch"])
-    return ExperimentConfig(
-        params=params,
-        grid=grid,
-        detector=detector,
-        trials=int(values["trials"]),
-        seed=int(values["seed"]),
-        output_path=values["out"],
-    )
+    return values
 
 
-def _header(command: str, config: ExperimentConfig, extra: dict | None = None) -> list[str]:
-    p, g, d = config.params, config.grid, config.detector
-    pairs = [
-        ("command", command),
-        ("n", p.n),
-        ("alpha", repr(p.alpha)),
-        ("beta", repr(p.beta)),
-        ("delta", repr(p.delta)),
-        ("grid_dx", repr(g.dx)),
-        ("grid_half_span", repr(g.half_span)),
-        ("pixel_pitch", repr(d.pixel_pitch)),
-        ("trials", config.trials),
-        ("seed", config.seed),
+def _protocol(values: dict) -> ProtocolParams:
+    return ProtocolParams(n=values["n"], alpha=values["alpha"], beta=values["beta"],
+                          delta=values["delta"])
+
+
+def _header(command: str, values: dict, **extra) -> list[str]:
+    """'#' lines: the command, the settings it read, then its extras."""
+    settings = {key: values[key] for key in COMMAND_KEYS[command]}
+    return [f"# command = {command}"] + [
+        f"# {key} = {value!r}" for key, value in {**settings, **extra}.items()
     ]
-    if extra:
-        pairs.extend(extra.items())
-    return [f"# {key} = {value}" for key, value in pairs]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -183,29 +164,30 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             raise _file_error("write", out_path, exc) from exc
 
 
-def cmd_wv(config: ExperimentConfig) -> int:
+def cmd_wv(values: dict) -> int:
     """One analytic CSV row for the configured parameters."""
-    p = config.params
+    p = _protocol(values)
     m = conditional_moments(p)
     row = [
         p.alpha, p.beta, p.delta, p.n,
         m.mean, m.std, m.probability,
         expectation_sigma_sum(p.n, p.alpha),
     ]
-    lines = _header("wv", config)
+    lines = _header("wv", values)
     lines.append("alpha,beta,delta,n,weak_value,pointer_std,probability,expectation")
     lines.append(",".join(_fmt(v) for v in row))
-    _emit(lines, config.output_path)
+    _emit(lines, values["out"])
     return 0
 
 
-def cmd_table(config: ExperimentConfig) -> int:
+def cmd_table(values: dict) -> int:
     """Analytic and simulated columns for the bundled presets a-d.
 
     Row i uses seed + i; trials per row are sized from the analytic pass
     probability to yield about TABLE_TARGET_CLICKS accepted clicks.
     """
-    lines = _header("table", config, extra={"target_clicks": TABLE_TARGET_CLICKS})
+    detector = DetectorModel(pixel_pitch=values["pixel_pitch"])
+    lines = _header("table", values, target_clicks=TABLE_TARGET_CLICKS)
     lines.append(
         "label,n,alpha,beta,delta,weak_value,pointer_std,probability,expectation,"
         "trials,accepted,first_click_x,sim_mean,sim_std,sim_stderr"
@@ -213,8 +195,8 @@ def cmd_table(config: ExperimentConfig) -> int:
     for i, (label, params) in enumerate(sorted(PRESETS.items())):
         m = conditional_moments(params)
         count = max(1, math.ceil(TABLE_TARGET_CLICKS / m.probability))
-        grid = GridSpec.for_protocol(params, dx=config.grid.dx)
-        summary = run_trials(config.seed + i, count, params, grid, config.detector)
+        grid = GridSpec.for_protocol(params, dx=values["grid_dx"])
+        summary = run_trials(values["seed"] + i, count, params, grid, detector)
         first = summary.first_click.position if summary.first_click else math.nan
         row = [
             label, params.n, params.alpha, params.beta, params.delta,
@@ -224,31 +206,27 @@ def cmd_table(config: ExperimentConfig) -> int:
             summary.mean, summary.std, summary.stderr,
         ]
         lines.append(",".join(_fmt(v) for v in row))
-    _emit(lines, config.output_path)
+    _emit(lines, values["out"])
     return 0
 
 
-def cmd_click(config: ExperimentConfig) -> int:
+def cmd_click(values: dict) -> int:
     """First accepted click within the trials budget, with anomaly verdict."""
-    result = first_click(config.seed, config.trials, config.params, config.grid, config.detector)
-    lines = _header("click", config)
+    p = _protocol(values)
+    grid = GridSpec.for_protocol(p, dx=values["grid_dx"])
+    detector = DetectorModel(pixel_pitch=values["pixel_pitch"])
+    trials = values["trials"]
+    result = first_click(values["seed"], trials, p, grid, detector)
+    lines = _header("click", values)
     if result is None:
         lines.append("status,trials,click_x")
-        lines.append(f"no_click,{config.trials},")
-        _emit(lines, config.output_path)
-        print(
-            f"error: no accepted click within {config.trials} trials", file=sys.stderr
-        )
+        lines.append(f"no_click,{trials},")
+        _emit(lines, values["out"])
+        print(f"error: no accepted click within {trials} trials", file=sys.stderr)
         return 2
     trial_index, outcome = result
-    lines.extend(_single_click_report(config, trial_index, outcome))
-    _emit(lines, config.output_path)
-    return 0
-
-
-def _single_click_report(config: ExperimentConfig, trial_index: int, outcome) -> list[str]:
-    rep = anomaly_report(outcome, config.params)
-    header = (
+    rep = anomaly_report(outcome, p)
+    lines.append(
         "trial_index,click_x,raw_x,uncertainty,eigenvalue_bound,gap,anomalous,exceeds_uncertainty"
     )
     row = [
@@ -256,10 +234,12 @@ def _single_click_report(config: ExperimentConfig, trial_index: int, outcome) ->
         rep.uncertainty, rep.eigenvalue_bound, rep.gap,
         rep.anomalous, rep.exceeds_uncertainty,
     ]
-    return [header, ",".join(_fmt(v) for v in row)]
+    lines.append(",".join(_fmt(v) for v in row))
+    _emit(lines, values["out"])
+    return 0
 
 
-def cmd_sweep(config: ExperimentConfig, beta_min: float, beta_max: float, steps: int) -> int:
+def cmd_sweep(values: dict, beta_min: float, beta_max: float, steps: int) -> int:
     """Weak value, pointer width and probability over a beta grid."""
     if steps < 2:
         raise InvalidParameterError(f"steps must be >= 2, got {steps}")
@@ -269,30 +249,27 @@ def cmd_sweep(config: ExperimentConfig, beta_min: float, beta_max: float, steps:
         )
     if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise InvalidParameterError("alpha and beta must be finite")
-    p = config.params
-    lines = _header(
-        "sweep", config,
-        extra={"beta_min": repr(beta_min), "beta_max": repr(beta_max), "steps": steps},
-    )
+    lines = _header("sweep", values, beta_min=beta_min, beta_max=beta_max, steps=steps)
     lines.append("beta,weak_value,pointer_std,probability,initial_width")
-    width = _fmt(p.delta)
+    width = _fmt(values["delta"])
     betas = np.linspace(beta_min, beta_max, steps)
-    for beta, wv, std, prob in sweep_beta(p.n, p.alpha, p.delta, betas):
+    for beta, wv, std, prob in sweep_beta(values["n"], values["alpha"], values["delta"], betas):
         if math.isnan(prob):  # orthogonal post-selection
             lines.append(f"{beta:.17g},,,,{width}")
         else:
             lines.append(f"{beta:.17g},{wv:.17g},{std:.17g},{prob:.17g},{width}")
-    _emit(lines, config.output_path)
+    _emit(lines, values["out"])
     return 0
 
 
-def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
+def cmd_oracle(values: dict, corrupt_mu: float = 0.0) -> int:
     """Cross-check the grid oracle against the closed forms.
 
     corrupt_mu deliberately perturbs the sequential evolution and must
     make the check fail; it exists as a negative control.
     """
-    p, grid = config.params, config.grid
+    p = _protocol(values)
+    grid = GridSpec.for_protocol(p, dx=values["grid_dx"])
     # Both routes start from one initial Gaussian.  initial_state runs both
     # routes' guards first, so an evolution over the joint work budget is
     # refused before any node array exists.
@@ -310,7 +287,7 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
         ("std_grid_vs_analytic", abs(std_seq - m.std), 1e-6),
         ("probability_grid_vs_analytic", abs(p_seq - m.probability), 1e-9),
     ]
-    lines = _header("oracle", config, extra={"corrupt_mu": repr(corrupt_mu)})
+    lines = _header("oracle", values, corrupt_mu=corrupt_mu)
     lines.append("check,value,limit,status")
     all_ok = True
     for name, value, limit in checks:
@@ -318,7 +295,7 @@ def cmd_oracle(config: ExperimentConfig, corrupt_mu: float = 0.0) -> int:
         all_ok = all_ok and ok
         lines.append(f"{name},{_fmt(value)},{_fmt(limit)},{'PASS' if ok else 'FAIL'}")
     lines.append(f"verdict,,,{'PASS' if all_ok else 'FAIL'}")
-    _emit(lines, config.output_path)
+    _emit(lines, values["out"])
     return 0 if all_ok else 3
 
 
@@ -331,47 +308,54 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--preset", choices=sorted(PRESETS), help="bundled parameter set")
-    common.add_argument("--degrees", action="store_true",
-                        help="angle values on the command line are degrees")
-    for key, kind in _CONFIG_KEYS.items():
-        common.add_argument(f"--{key}", type=kind,
-                            help="output file path" if key == "out" else None)
-
+    """The command-line parser, built once per process.  COMMAND_KEYS
+    gives each command its setting flags."""
     parser = _Parser(prog="wvsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("wv", parents=[common], help="analytic weak value row")
-    sub.add_parser("table", parents=[common], help="bundled presets a-d, analytic + simulated")
-    sub.add_parser("click", parents=[common], help="first accepted click and anomaly verdict")
-    sweep = sub.add_parser("sweep", parents=[common], help="beta sweep table")
+    helps = {
+        "wv": "analytic weak value row",
+        "table": "bundled presets a-d, analytic + simulated",
+        "click": "first accepted click and anomaly verdict",
+        "sweep": "beta sweep table",
+        "oracle": "grid oracle cross-check",
+    }
+    for command, keys in COMMAND_KEYS.items():
+        cmd = sub.add_parser(command, help=helps[command])
+        cmd.add_argument("--config", help="flat key = value configuration file")
+        if "n" in keys:
+            cmd.add_argument("--preset", choices=sorted(PRESETS), help="bundled parameter set")
+        if "alpha" in keys:
+            cmd.add_argument("--degrees", action="store_true",
+                             help="angle values on the command line are degrees")
+        for key in keys:
+            cmd.add_argument(f"--{key}", type=_CONFIG_KEYS[key])
+        cmd.add_argument("--out", help="output file path")
+    sweep = sub.choices["sweep"]
     sweep.add_argument("beta_min", type=float)
     sweep.add_argument("beta_max", type=float)
     sweep.add_argument("steps", type=int)
-    oracle = sub.add_parser("oracle", parents=[common], help="grid oracle cross-check")
-    oracle.add_argument("--corrupt-mu", type=float, default=0.0, dest="corrupt_mu",
-                        help="negative control: perturb the coupling and expect FAIL")
+    sub.choices["oracle"].add_argument(
+        "--corrupt-mu", type=float, default=0.0, dest="corrupt_mu",
+        help="negative control: perturb the coupling and expect FAIL")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args)
+        values = build_config(args)
         if args.command == "wv":
-            return cmd_wv(config)
+            return cmd_wv(values)
         if args.command == "table":
-            return cmd_table(config)
+            return cmd_table(values)
         if args.command == "click":
-            return cmd_click(config)
+            return cmd_click(values)
         if args.command == "sweep":
             degrees = math.pi / 180.0 if args.degrees else 1.0
-            return cmd_sweep(config, args.beta_min * degrees, args.beta_max * degrees, args.steps)
+            return cmd_sweep(values, args.beta_min * degrees, args.beta_max * degrees, args.steps)
         if args.command == "oracle":
-            return cmd_oracle(config, corrupt_mu=args.corrupt_mu)
+            return cmd_oracle(values, corrupt_mu=args.corrupt_mu)
         raise InvalidParameterError(f"unknown command {args.command!r}")
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,11 @@ Two design rules keep the oracle honest:
   of the coupling land exactly on nodes.  Shifts are pure index moves,
   never interpolations, and preserve amplitudes bit for bit; one helper,
   `_translation`, computes them and checks truncation for both routes.
-* The initial Gaussian is centred at 0 and cut off hard at 8 sigma
-  (relative mass below 1e-14), and the domain must extend at least n
-  units beyond that, so no shift ever pushes nonzero amplitude off the edge.
+* The initial Gaussian is centred at 0 and cut off hard at 8 sigma, where
+  its density is exp(-32) ~ 1.3e-14 of its peak; post-selection divides
+  by the pass probability P, so the truncation error grows like
+  exp(-32)/P.  The domain must extend at least n units beyond the cut,
+  so no shift ever pushes nonzero amplitude off the edge.
 
 The joint-coupling evolution couples n qubits to one shared pointer at
 once and post-selects every qubit.  A bitstring's row is the initial
@@ -58,6 +60,9 @@ from .errors import InvalidParameterError, MemoryGuardError, TruncationError
 
 # Hard support cutoff of the initial Gaussian, in units of its width.
 SUPPORT_SIGMAS = 8.0
+
+# Grid spacing of GridSpec.for_protocol unless one is given.
+DEFAULT_DX = 0.01
 
 # Refuse joint evolutions that would touch more than this many entries
 # (2**n bitstring rows x node_count nodes).
@@ -124,7 +129,7 @@ class GridSpec:
         object.__setattr__(self, "half_span", m * self.dx)
 
     @classmethod
-    def for_protocol(cls, params: ProtocolParams, dx: float = 0.01) -> "GridSpec":
+    def for_protocol(cls, params: ProtocolParams, dx: float = DEFAULT_DX) -> "GridSpec":
         """Default domain n + 8 delta, rounded up to a node."""
         return cls(dx=dx, half_span=params.n + SUPPORT_SIGMAS * params.delta)
 
@@ -147,21 +152,16 @@ class GridSpec:
 
 @dataclass
 class GridWavefunction:
-    """Real wavefunction sampled on the nodes of `spec`.
-
-    Complex input is accepted only with a zero imaginary part, and is
-    stored as its real part."""
+    """Real wavefunction sampled on the nodes of `spec`; complex input is
+    refused."""
 
     spec: GridSpec
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        if np.iscomplexobj(amps):
-            if np.any(amps.imag != 0):
-                raise InvalidParameterError("grid amplitudes must be real")
-            amps = amps.real
-        amps = np.ascontiguousarray(amps, dtype=float)
+        if np.iscomplexobj(self.amplitudes):
+            raise InvalidParameterError("grid amplitudes must be real")
+        amps = np.ascontiguousarray(self.amplitudes, dtype=float)
         if amps.shape != (self.spec.node_count,):
             raise InvalidParameterError(
                 f"expected {self.spec.node_count} amplitudes, got shape {amps.shape}"

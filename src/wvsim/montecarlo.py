@@ -83,30 +83,27 @@ class DetectorModel:
     """Pixelated readout: reported positions are pixel centers."""
 
     pixel_pitch: float = 0.1
-    origin: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.pixel_pitch) and self.pixel_pitch > 0):
             raise InvalidParameterError(f"pixel_pitch must be positive, got {self.pixel_pitch}")
-        if not math.isfinite(self.origin):
-            raise InvalidParameterError(f"origin must be finite, got {self.origin}")
 
     def pixel_index(self, x):
         """Nearest pixel of each position; InvalidParameterError if an index
         is not finite or reaches 2**62 in magnitude (the int64 cast would
         overflow)."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            index = np.rint((np.asarray(x) - self.origin) / self.pixel_pitch)
+            index = np.rint(np.asarray(x) / self.pixel_pitch)
         if not (np.abs(index) < _MAX_PIXEL_INDEX).all():
             raise InvalidParameterError(
-                f"pixel_pitch {self.pixel_pitch} and origin {self.origin} give a pixel index "
-                f"that is not finite or not below 2**62; use a larger pixel_pitch"
+                f"pixel_pitch {self.pixel_pitch} gives a pixel index that is not finite "
+                f"or not below 2**62; use a larger pixel_pitch"
             )
         return index.astype(int)
 
     def pixel_center(self, x):
         """Center of the nearest pixel of each position."""
-        return self.origin + self.pixel_index(x) * self.pixel_pitch
+        return self.pixel_index(x) * self.pixel_pitch
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,44 @@
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from wvsim import analytic, cli, grid
-from wvsim.cli import build_parser, build_config, main, parse_config_file
+from wvsim import PRESETS, DetectorModel, GridSpec, analytic, cli, grid
+from wvsim.cli import COMMAND_KEYS, build_parser, build_config, main, parse_config_file
 
 from conftest import REFERENCE
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# Header lines each command adds after its settings.
+EXTRAS = {
+    "wv": (),
+    "table": ("target_clicks",),
+    "click": (),
+    "sweep": ("beta_min", "beta_max", "steps"),
+    "oracle": ("corrupt_mu",),
+}
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def exit_code(argv):
+    """main's exit code, including the parser's usage errors."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def argv_of(command, *flags):
+    """A command line of `command`, with the positionals it needs."""
+    positionals = ["0.5", "1.0", "2"] if command == "sweep" else []
+    return [command, *positionals, *flags]
 
 
 def read_rows(path):
@@ -41,44 +68,91 @@ class TestConfigFile:
             "n": 7, "alpha": 0.62, "beta": 2.53, "delta": 5.84, "trials": 1000, "seed": 5,
         }
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, tmp_path, capsys):
+        # No setting moves the grid's span (n + 8 delta): grid_half_span is
+        # no key.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("gamma = 1\n")
-        assert run_cli(["wv", "--config", str(cfg)]) == 1
+        for line in ("gamma = 1", "grid_half_span = 60"):
+            cfg.write_text(line + "\n")
+            for command in COMMAND_KEYS:
+                assert run_cli(argv_of(command, "--config", str(cfg))) == 1
+                assert "unknown key" in capsys.readouterr().err
 
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = seven\n")
         assert run_cli(["wv", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
+    def test_one_file_with_every_key_runs_every_command(self, command, tmp_path):
+        # A config file holds one shared key set; each command reads its
+        # own keys and echoes exactly those, in table order, then its
+        # extras.
+        out = tmp_path / "out.csv"
+        settings = {
+            "n": "7", "alpha": "0.52", "beta": "0.88", "delta": "3.09", "grid_dx": "0.05",
+            "pixel_pitch": "0.05", "trials": "10000000000000", "seed": "7",
+        }
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()) + f"out = {out}\n")
+        assert len(parse_config_file(str(cfg))) == len(cli._CONFIG_KEYS) == 9
+        assert run_cli(argv_of(command, "--config", str(cfg))) == 0
+        header = [line[2:].split(" = ") for line in out.read_text().splitlines()
+                  if line.startswith("# ")]
+        assert header[0] == ["command", command]
+        keys = [key for key, _ in header[1:]]
+        assert keys == [*COMMAND_KEYS[command], *EXTRAS[command]]
+        for key, value in header[1:len(COMMAND_KEYS[command]) + 1]:
+            assert value == settings[key]
+
+    def test_unread_key_is_ignored(self, tmp_path):
+        # wv reads no trials, so a trials value click would refuse is
+        # neither checked nor echoed there.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 0\n")
+        assert run_cli(["wv", "--config", str(cfg)]) == 0
+        assert run_cli(["click", "--config", str(cfg)]) == 1
+
 
 class TestConfigKeys:
-    # Each key of the table is a flag and a file key of the same type, and
-    # a value its type refuses exits 1 by either route.
+    # For every (command, key) of COMMAND_KEYS, plus out for every command,
+    # the flag and the file key share a type, and a value its type refuses
+    # exits 1 by either route.
     GOOD = {int: "3", float: "0.25", str: "run.csv"}
     BAD = {int: ["x", "2.5"], float: ["x", ""], str: ["missing/x.csv"]}
 
     @pytest.mark.parametrize("key, kind", list(cli._CONFIG_KEYS.items()))
     def test_flag_and_file_share_the_type(self, key, kind, tmp_path, capsys):
+        commands = [c for c, keys in COMMAND_KEYS.items() if key in keys + ("out",)]
+        assert commands
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {self.GOOD[kind]}\n")
-        from_file = parse_config_file(str(cfg))[key]
-        from_flag = getattr(build_parser().parse_args(["wv", f"--{key}", self.GOOD[kind]]), key)
-        assert type(from_file) is type(from_flag) is kind
-        assert from_file == from_flag == kind(self.GOOD[kind])
-        for bad in self.BAD[kind]:
-            if kind is str:
-                bad = str(tmp_path / bad)
-            cfg.write_text(f"{key} = {bad}\n")
-            assert run_cli(["wv", "--config", str(cfg)]) == 1
-            try:
-                code = run_cli(["wv", f"--{key}", bad])
-            except SystemExit as exc:  # the parser's usage error
-                code = exc.code
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.count("error: ") == 2
-            assert "Traceback" not in err
+        for command in commands:
+            cfg.write_text(f"{key} = {self.GOOD[kind]}\n")
+            from_file = parse_config_file(str(cfg))[key]
+            args = build_parser().parse_args(argv_of(command, f"--{key}", self.GOOD[kind]))
+            from_flag = getattr(args, key)
+            assert type(from_file) is type(from_flag) is kind
+            assert from_file == from_flag == kind(self.GOOD[kind])
+            for bad in self.BAD[kind]:
+                if kind is str:
+                    bad = str(tmp_path / bad)
+                cfg.write_text(f"{key} = {bad}\n")
+                assert run_cli(argv_of(command, "--config", str(cfg))) == 1
+                assert exit_code(argv_of(command, f"--{key}", bad)) == 1
+                err = capsys.readouterr().err
+                assert err.count("error: ") == 2, (command, bad)
+                assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in COMMAND_KEYS.items()
+        for key in cli._CONFIG_KEYS if key not in keys + ("out",)
+    ] + [("table", "preset"), ("table", "degrees")])
+    def test_flag_of_another_command_is_refused(self, command, key, capsys):
+        assert exit_code(argv_of(command, f"--{key}", "1")) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
 
 class TestFileErrors:
@@ -107,29 +181,38 @@ class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("delta = 2.0\nseed = 9\n")
-        args = build_parser().parse_args(["wv", "--config", str(cfg), "--delta", "3.5"])
-        config = build_config(args)
-        assert config.params.delta == 3.5
-        assert config.seed == 9
+        args = build_parser().parse_args(["click", "--config", str(cfg), "--delta", "3.5"])
+        values = build_config(args)
+        assert values["delta"] == 3.5
+        assert values["seed"] == 9
 
     def test_preset_overrides_file_params(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 1.0\n")
         args = build_parser().parse_args(["wv", "--config", str(cfg), "--preset", "b"])
-        config = build_config(args)
-        assert config.params.alpha == 0.62
-        assert config.params.delta == 3.18
+        values = build_config(args)
+        assert values["alpha"] == 0.62
+        assert values["delta"] == 3.18
 
     def test_degrees_converts_cli_angles(self):
         args = build_parser().parse_args(["wv", "--alpha", "90", "--beta", "45", "--degrees"])
-        config = build_config(args)
-        assert config.params.alpha == pytest.approx(math.pi / 2)
-        assert config.params.beta == pytest.approx(math.pi / 4)
+        values = build_config(args)
+        assert values["alpha"] == pytest.approx(math.pi / 2)
+        assert values["beta"] == pytest.approx(math.pi / 4)
 
     def test_default_grid_spans_protocol(self):
-        args = build_parser().parse_args(["wv", "--preset", "a"])
-        config = build_config(args)
-        assert config.grid.half_span >= 7 + 8 * 5.84 - 1e-9
+        # Every grid is GridSpec.for_protocol at the library's default
+        # spacing unless grid_dx is set; no setting moves its span, and the
+        # pixel pitch default is the library's too.
+        values = build_config(build_parser().parse_args(["click", "--preset", "a"]))
+        assert "grid_half_span" not in values
+        assert values["grid_dx"] == GridSpec.for_protocol(PRESETS["a"]).dx
+        assert values["pixel_pitch"] == DetectorModel().pixel_pitch
+
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
+    def test_returns_the_settings_the_command_reads(self, command):
+        values = build_config(build_parser().parse_args(argv_of(command)))
+        assert list(values) == [*COMMAND_KEYS[command], "out"]
 
 
 class TestWvCommand:
@@ -384,3 +467,17 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestReadme:
+    def test_key_table_matches_the_parser(self):
+        # README's per-command table of settings and header extras is the
+        # CLI's table: the docs cannot drift from the parser.
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:-1] for line in section.splitlines()
+                if line.startswith("| `")]
+        table = {re.findall(r"`([^`]+)`", cells[0])[0]:
+                 [tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:]]
+                 for cells in rows}
+        assert {c: keys for c, (keys, _) in table.items()} == COMMAND_KEYS
+        assert {c: extras for c, (_, extras) in table.items()} == EXTRAS
