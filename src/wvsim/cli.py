@@ -247,8 +247,9 @@ def cmd_sweep(values: dict, beta_min: float, beta_max: float, steps: int) -> int
         raise MemoryGuardError(
             f"sweep of {steps} steps, over the {MAX_SWEEP_STEPS}-step budget; reduce the steps"
         )
-    if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
-        raise InvalidParameterError("alpha and beta must be finite")
+    for name, bound in (("beta_min", beta_min), ("beta_max", beta_max)):
+        if not math.isfinite(bound):
+            raise InvalidParameterError(f"{name} must be finite, got {bound}")
     lines = _header("sweep", values, beta_min=beta_min, beta_max=beta_max, steps=steps)
     lines.append("beta,weak_value,pointer_std,probability,initial_width")
     width = _fmt(values["delta"])

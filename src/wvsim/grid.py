@@ -11,15 +11,16 @@ are therefore float64 throughout, with no imaginary part to carry.
 
 Two design rules keep the oracle honest:
 
-* Grid spacings satisfy 1/dx = integer, so the unit pointer translations
-  of the coupling land exactly on nodes.  Shifts are pure index moves,
-  never interpolations, and preserve amplitudes bit for bit; one helper,
-  `_translation`, computes them and checks truncation for both routes.
+* GridSpec alone decides the lattice: 1/dx within a relative 1e-9 of an
+  integer q makes a pointer unit exactly q nodes.  Shifts move whole units,
+  so they are index moves that keep amplitudes bit for bit.  A block shifts
+  through `_translation`, which checks truncation; the joint route checks
+  the window its rows touch once.
 * The initial Gaussian is centred at 0 and cut off hard at 8 sigma, where
   its density is exp(-32) ~ 1.3e-14 of its peak; post-selection divides
   by the pass probability P, so the truncation error grows like
-  exp(-32)/P.  The domain must extend at least n units beyond the cut,
-  so no shift ever pushes nonzero amplitude off the edge.
+  exp(-32)/P.  The domain, n units beyond the cut (n + 8 delta, computed
+  in GridSpec.for_protocol only), keeps every shift on the grid.
 
 The joint-coupling evolution couples n qubits to one shared pointer at
 once and post-selects every qubit.  A bitstring's row is the initial
@@ -102,10 +103,10 @@ def _past_float_range(dx: float) -> str:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric grid on [-half_span, +half_span].
-
-    dx must divide 1 exactly (1/dx integral) so unit shifts are node
-    translations; half_span is rounded up to the nearest node.
+    """Uniform symmetric grid on [-half_span, +half_span], the one place
+    that turns dx into node counts.  Lattice rule: 1/dx must lie within a
+    relative 1e-9 of an integer q >= 1, and a pointer unit is then exactly
+    q = nodes_per_unit nodes.  half_span is rounded up to the nearest node.
     """
 
     dx: float
@@ -285,15 +286,11 @@ def init_gaussian(spec: GridSpec, width: float) -> GridWavefunction:
     return wf
 
 
-def _translation(amps: np.ndarray, spec: GridSpec, displacement: float) -> tuple[slice, slice]:
+def _translation(amps: np.ndarray, spec: GridSpec, units: int) -> tuple[slice, slice]:
     """Slices (dst, src), out[dst] = amps[src], moving node values `amps` by
-    `displacement`; raises TruncationError if nonzero amplitude would leave."""
-    steps = displacement / spec.dx
-    k = round(steps)
-    if abs(steps - k) > 1e-9:
-        raise InvalidParameterError(
-            f"displacement {displacement} is not an integer multiple of dx={spec.dx}"
-        )
+    `units` pointer units, units * spec.nodes_per_unit nodes; raises
+    TruncationError if nonzero amplitude would leave."""
+    k = units * spec.nodes_per_unit
     if k > 0:
         if np.any(amps[-k:] != 0):
             raise TruncationError("shift would push nonzero amplitude past +half_span")
@@ -329,10 +326,10 @@ def _block_into(
     """Writes mu * (amps moved by +1) + nu * (amps moved by -1) into `out`,
     which must not overlap `amps`.  The nu products pass through `scratch`
     a block at a time and are added in place."""
-    dst, src = _translation(amps, spec, +1.0)
+    dst, src = _translation(amps, spec, +1)
     np.multiply(amps[src], mu, out=out[dst])
     out[:dst.start] = 0.0  # the first unit's nodes get no +1 term
-    dst, src = _translation(amps, spec, -1.0)
+    dst, src = _translation(amps, spec, -1)
     into, amps = out[dst], amps[src]
     for start in range(0, amps.size, scratch.size):
         part = scratch[:min(scratch.size, amps.size - start)]
@@ -402,11 +399,11 @@ def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
             f"grid of {spec.node_count} nodes, over the {MAX_GRID_NODES}-node "
             f"budget; coarsen grid_dx or reduce delta"
         )
-    needed = params.n + SUPPORT_SIGMAS * params.delta
-    if spec.half_span + 1e-9 < needed:
+    required = GridSpec.for_protocol(params, spec.dx)
+    if spec.half_nodes < required.half_nodes:
         raise TruncationError(
-            f"half_span {spec.half_span} is below the required n + 8 delta = {needed}"
-        )
+            f"half_span {spec.half_span} is below the required n + "
+            f"{SUPPORT_SIGMAS:g} delta = {required.half_span}")
 
 
 def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
@@ -450,14 +447,14 @@ def evolve_joint(
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)
     cb, sb = math.cos(params.beta), math.sin(params.beta)
-    # A row's translation depends only on its count of H bits, so the n + 1
-    # translations are checked once, in the order the bitstrings reach them;
-    # they keep chi's nonzero support [lo, hi) on the grid at every shift.
-    for h in range(n + 1):
-        _translation(chi, spec, 2 * h - n)
+    # Row h is chi's nonzero support [lo, hi) moved by 2h - n units, so the
+    # rows touch [first, stop), which must lie on the grid.
     lo, hi = int(np.argmax(chi != 0)), chi.size - int(np.argmax(chi[::-1] != 0))
     unit = spec.nodes_per_unit
     first, stop = lo - n * unit, hi + n * unit
+    if first < 0 or stop > chi.size:
+        side = "-" if first < 0 else "+"
+        raise TruncationError(f"shift would push nonzero amplitude past {side}half_span")
     phi = np.zeros(spec.node_count)
     rows = np.empty((n + 1, min(BLOCK_NODES, stop - first)))
     for begin in range(first, stop, BLOCK_NODES):

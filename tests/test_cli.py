@@ -330,7 +330,7 @@ class TestSweepCommand:
         # warnings-as-errors that escaped main as an exception.
         assert run_cli(["sweep", "0.3", "inf", "5"]) == 1
         err = capsys.readouterr().err
-        assert "must be finite" in err and "Warning" not in err
+        assert "beta_max must be finite, got inf" in err and "Warning" not in err
 
     def test_oversized_sweep_is_refused(self, capsys):
         steps = cli.MAX_SWEEP_STEPS + 1
@@ -409,6 +409,20 @@ class TestOracleCommand:
         monkeypatch.setattr(grid, "init_gaussian", counting)
         assert run_cli(["oracle", "--preset", "a", "--grid_dx", "0.05"]) == 0
         assert len(built) == 1
+
+
+class TestLatticeRule:
+    # 1/dx within GridSpec's relative 1e-9 of an integer q: a pointer unit
+    # is exactly q nodes, however far 1/dx itself sits from q.
+    def test_oracle_on_near_integer_spacing(self, capsys):
+        assert run_cli(["oracle", "--preset", "a", "--grid_dx", "0.0010000000001"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "verdict,,,PASS"
+        assert captured.err == ""
+
+    def test_click_on_near_integer_spacing(self, capsys):
+        assert run_cli(["click", "--preset", "a", "--grid_dx", "0.0100000000005"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestOversizedGrid:

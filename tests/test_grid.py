@@ -43,9 +43,10 @@ def small_spec(width=1.0, dx=0.05, margin=2.0):
     return GridSpec(dx=dx, half_span=margin + 8.0 * width)
 
 
-def translated(amps, spec, displacement):
-    """A copy of the node values `amps` moved through `_translation`."""
-    dst, src = _translation(amps, spec, displacement)
+def translated(amps, spec, units):
+    """A copy of the node values `amps` moved `units` pointer units through
+    `_translation`."""
+    dst, src = _translation(amps, spec, units)
     out = np.zeros_like(amps)
     out[dst] = amps[src]
     return out
@@ -140,7 +141,7 @@ class TestInitGaussian:
 
 class TestShift:
     # apply_block with weights (1, 0) is the exact +1 shift, (0, 1) the -1
-    # shift; other displacements go through _translation itself.
+    # shift; other whole-unit moves go through _translation itself.
     def test_mean_moves_by_displacement(self):
         spec = GridSpec(dx=0.05, half_span=60.0)
         wf = init_gaussian(spec, width=5.84)
@@ -150,8 +151,8 @@ class TestShift:
     def test_zero_shift_is_identity(self):
         spec = small_spec()
         amps = init_gaussian(spec, width=1.0).amplitudes
-        assert _translation(amps, spec, 0.0) == (slice(None), slice(None))
-        assert np.array_equal(translated(amps, spec, 0.0), amps)
+        assert _translation(amps, spec, 0) == (slice(None), slice(None))
+        assert np.array_equal(translated(amps, spec, 0), amps)
 
     def test_round_trip_is_exact(self):
         spec = small_spec()
@@ -165,17 +166,11 @@ class TestShift:
         assert apply_block(wf, 1.0, 0.0).squared_norm() == wf.squared_norm()
         assert apply_block(wf, 0.0, 1.0).squared_norm() == wf.squared_norm()
 
-    def test_non_node_displacement_rejected(self):
-        spec = small_spec()
-        wf = init_gaussian(spec, width=1.0)
-        with pytest.raises(InvalidParameterError):
-            _translation(wf.amplitudes, spec, 0.5 * spec.dx)
-
     def test_support_leaving_domain(self):
         spec = small_spec(width=1.0, margin=0.5)
         wf = init_gaussian(spec, width=1.0)
         with pytest.raises(TruncationError, match="past \\+half_span"):
-            _translation(wf.amplitudes, spec, 1.0)
+            _translation(wf.amplitudes, spec, 1)
         with pytest.raises(TruncationError):
             apply_block(wf, 1.0, 0.0)
 
@@ -482,6 +477,23 @@ class TestEvolveJoint:
         monkeypatch.setattr(grid, "BLOCK_NODES", 97)
         for params, dx in settings:
             check(params, dx)
+
+    @pytest.mark.parametrize("support, side", [
+        (slice(None), "-"), (slice(-1, None), "+"), (slice(0, 1), "-"),
+    ])
+    def test_support_near_an_edge_is_refused(self, support, side):
+        # An initial state on the protocol's own grid whose support comes
+        # within n units of an edge: some row would leave the grid, so both
+        # routes refuse it.
+        params = ProtocolParams(n=3, alpha=0.62, beta=2.53, delta=1.0)
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        amps = np.zeros(spec.node_count)
+        amps[support] = 1.0
+        initial = GridWavefunction(spec, amps)
+        with pytest.raises(TruncationError, match=f"past \\{side}half_span"):
+            evolve_joint(params, spec, initial=initial)
+        with pytest.raises(TruncationError, match="past"):
+            evolve_sequential(params, spec, initial=initial)
 
     def test_no_memory_per_bitstring(self):
         # n = 16 has 65536 bitstrings but a 67-node grid: the route holds

@@ -1,6 +1,7 @@
 """Property tests of the closed-form moment kernel, the grid's exact sum,
-CDF and two evolutions against each other and the closed forms, and the
-Monte Carlo acceptance stream, inverse-CDF lookup and histogram.
+CDF, whole-unit shifts and two evolutions against each other and the
+closed forms, and the Monte Carlo acceptance stream, inverse-CDF lookup and
+histogram.
 
 Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
 (with the orthogonal and eigenstate angles drawn on purpose) and pointer
@@ -33,7 +34,9 @@ from wvsim import (  # noqa: E402
     run_trials,
 )
 from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
-from wvsim.grid import EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum  # noqa: E402
+from wvsim.grid import (  # noqa: E402
+    EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum, apply_block, init_gaussian,
+)
 from wvsim.montecarlo import (  # noqa: E402
     _ACCEPT_STREAM,
     _accepted_indices,
@@ -212,6 +215,28 @@ def test_grid_matches_closed_forms(n, alpha, beta, delta):
     assert probability == pytest.approx(m.probability, rel=1e-6, abs=0)
     assert std == pytest.approx(m.std, rel=1e-6, abs=0)
     assert abs(mean - m.mean) <= 1e-6 * max(1.0, abs(m.mean))
+
+
+@grid_settings
+@given(q=st.integers(1, 1000), r=st.floats(-0.9e-9, 0.9e-9))
+@example(q=1000, r=1e-10)
+@example(q=100, r=5e-10)
+def test_shifts_move_whole_units(q, r):
+    # dx = (1 + r)/q passes GridSpec's lattice rule, so a pointer unit is q
+    # nodes exactly, though 1/dx sits up to ~1e-6 from q at q = 1000.
+    params = ProtocolParams(n=2, alpha=0.62, beta=2.53, delta=0.25)
+    spec = GridSpec.for_protocol(params, dx=(1.0 + r) / q)
+    assert spec.nodes_per_unit == q
+    wf = init_gaussian(spec, params.delta)
+    amps = wf.amplitudes
+    plus, minus = apply_block(wf, 1.0, 0.0).amplitudes, apply_block(wf, 0.0, 1.0).amplitudes
+    assert np.array_equal(plus[q:], amps[:-q]) and not plus[:q].any()
+    assert np.array_equal(minus[:-q], amps[q:]) and not minus[-q:].any()
+    seq, p_seq = evolve_sequential(params, spec)
+    joint, p_joint = evolve_joint(params, spec)
+    l2 = math.sqrt(float(np.sum((seq.amplitudes - joint.amplitudes) ** 2)) * spec.dx)
+    assert l2 < 1e-9
+    assert p_seq == pytest.approx(p_joint, rel=1e-12, abs=0)
 
 
 # Settings of the acceptance stream with a trial count that keeps the
