@@ -113,10 +113,6 @@ class CouplingWeights:
     mu: float
     nu: float
 
-    def __post_init__(self):
-        if abs(self.mu) > 1 + 1e-12 or abs(self.nu) > 1 + 1e-12:
-            raise InvalidParameterError("coupling weights must satisfy |mu|, |nu| <= 1")
-
 
 def coupling_weights(params: ProtocolParams) -> CouplingWeights:
     """mu = cos(alpha) cos(beta), nu = sin(alpha) sin(beta)."""

@@ -26,16 +26,19 @@ vectorised numpy pass (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11) instead of building one generator per click.
 
 Each step does only the work a run needs, without changing a bit of its
-output.  numpy draws geometric gaps one at a time, so the acceptance
-stream does not depend on how many are drawn per call: the walk draws
-batches sized from the expected click count (six standard deviations
-above it), not a fixed large batch, and draws another batch only if one
-falls short.  The inverse-CDF lookup searches the uniforms in sorted
-order, where numpy's searchsorted starts each search from the previous
-key's result, and scatters the indices back; each index is the same
-whatever the key order.  The histogram is one np.unique over the clicks'
-pixel centers.  Every pass probability takes the same walk: it is clamped
-to 1, where every geometric gap is 1 and every trial is accepted.
+output.  One generator, `_accepted_batches`, walks the acceptance stream
+for both readings of the experiment.  numpy draws geometric gaps one at
+a time, so the stream does not depend on how many are drawn per call:
+`first_click` takes the first batch of a one-gap walk, and `run_trials`
+draws batches sized from the expected click count (six standard
+deviations above it) and draws another only if one falls short.  The
+inverse-CDF lookup searches the uniforms in sorted order, where numpy's
+searchsorted starts each search from the previous key's result, and
+scatters the indices back; each index is the same whatever the key
+order.  A run keeps its clicks' pixel centers; only `write_histogram`
+bins them, with one np.unique.  Every pass probability takes the same
+walk: it is clamped to 1, where every geometric gap is 1 and every
+trial is accepted.
 """
 from __future__ import annotations
 
@@ -117,7 +120,10 @@ class ClickOutcome:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Aggregate of a trial batch; statistics cover accepted clicks only."""
+    """Aggregate of a trial batch; statistics cover accepted clicks only.
+
+    clicks holds the accepted clicks' pixel centers in trial order, as a
+    read-only array; == and repr leave it out."""
 
     trials: int
     accepted: int
@@ -125,7 +131,7 @@ class RunSummary:
     mean: float
     std: float
     stderr: float
-    histogram: tuple = field(default_factory=tuple)
+    clicks: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,11 @@ class _ConditionalSampler:
 @lru_cache(maxsize=16)
 def _conditional_sampler(params: ProtocolParams, spec: GridSpec) -> _ConditionalSampler:
     wf, probability = evolve_sequential(params, spec)
-    return _ConditionalSampler(probability=probability, positions=spec.positions(), cdf=cdf(wf))
+    sampler = _ConditionalSampler(probability=probability, positions=spec.positions(), cdf=cdf(wf))
+    # Cached and shared by every later run: frozen, so no caller can alter it.
+    sampler.positions.flags.writeable = False
+    sampler.cdf.flags.writeable = False
+    return sampler
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -200,33 +210,20 @@ def _check_run(seed: int, trials: int, name: str) -> None:
         raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
 
 
-def _gap_batches(seed: int, probability: float, size: int = _GAP_BATCH):
-    """The acceptance stream of `seed`: successive batches of `size`
-    geometric gaps between accepted trials.  numpy draws the gaps one by
-    one, so the stream does not depend on the batch size.  A probability
-    a few ulps above 1, as a normalised sum can read at an eigenstate, is
-    taken as 1."""
-    probability = min(probability, 1.0)
+def _accepted_batches(seed: int, count: int, probability: float, size: int):
+    """The acceptance stream of `seed`: successive arrays of the 0-based
+    indices of accepted trials among `count` Bernoulli trials, from `size`
+    geometric gaps each (identical in law to per-trial coin flips, but
+    O(accepted) work instead of O(count)).  numpy draws the gaps one by
+    one, so the stream does not depend on `size`.  Stops after the batch
+    that passes `count`.  A probability a few ulps above 1, as a normalised
+    sum can read at an eigenstate, is taken as 1."""
     gen = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
     )
-    while True:
-        yield gen.geometric(probability, size=size)
-
-
-def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
-    """0-based indices of accepted trials among `count` Bernoulli trials,
-    generated as a geometric-gap walk (identical in law to per-trial coin
-    flips, but O(accepted) work instead of O(count))."""
-    # A run needs one gap per accepted trial plus the one that passes
-    # `count`; six standard deviations above the mean make a second batch rare.
-    expected = count * min(probability, 1.0)
-    size = int(min(_GAP_BATCH, expected + 6.0 * math.sqrt(expected) + 1.0))
-    chunks = []
     total = 0
-    batches = _gap_batches(seed, probability, size)
     while total < count:
-        offsets = np.cumsum(next(batches))
+        offsets = np.cumsum(gen.geometric(min(probability, 1.0), size=size))
         # Gaps are >= 1, so the offsets rise until one wraps past int64 to a
         # negative value.  That one and all after it lie beyond any count up
         # to MAX_TRIALS, so only the rising prefix is walked.
@@ -234,11 +231,10 @@ def _accepted_indices(seed: int, count: int, probability: float) -> np.ndarray:
         if wrapped.size:
             offsets = offsets[: wrapped[0]]
         keep = int(np.searchsorted(offsets, count - total, side="right"))
-        chunks.append(offsets[:keep] + (total - 1))
+        yield offsets[:keep] + (total - 1)
         if keep < offsets.size or wrapped.size:
-            break
+            return
         total += int(offsets[-1])
-    return np.concatenate(chunks)
 
 
 def _clicks(
@@ -261,7 +257,8 @@ def run_trials(
 
     first_click is the accepted outcome with the smallest trial index (the
     single-click reading of the run).  Zero accepted clicks produce an
-    explicit empty summary with NaN statistics, not an error.  `count`
+    explicit empty summary with NaN statistics and no clicks, not an
+    error; std and stderr are NaN below two clicks.  `count`
     above MAX_TRIALS or `seed` outside [0, 2**128) raise
     InvalidParameterError; a run expecting more than MAX_EXPECTED_CLICKS
     accepted clicks raises MemoryGuardError.
@@ -274,37 +271,22 @@ def run_trials(
             f"{count} trials at pass probability {sampler.probability:.3e} expect "
             f"{expected:.3e} clicks, over the {MAX_EXPECTED_CLICKS} budget; reduce the trials"
         )
-    indices = _accepted_indices(seed, count, sampler.probability)
-    accepted = int(indices.size)
-    if accepted == 0:
-        return RunSummary(
-            trials=count,
-            accepted=0,
-            first_click=None,
-            mean=math.nan,
-            std=math.nan,
-            stderr=math.nan,
-            histogram=(),
-        )
-
+    # A run needs one gap per accepted trial plus the one that passes
+    # `count`; six standard deviations above the mean make a second batch rare.
+    size = int(min(_GAP_BATCH, expected + 6.0 * math.sqrt(expected) + 1.0))
+    indices = np.concatenate(list(_accepted_batches(seed, count, sampler.probability, size)))
     raw, positions = _clicks(seed, indices, sampler, detector)
-    mean = float(np.mean(positions))
-    if accepted >= 2:
-        std = float(np.std(positions, ddof=1))
-        stderr = std / math.sqrt(accepted)
-    else:
-        std = math.nan
-        stderr = math.nan
-    centers, counts = np.unique(positions, return_counts=True)
-    histogram = tuple(zip(centers.tolist(), counts.tolist()))
+    positions.flags.writeable = False
+    accepted = int(indices.size)
+    std = float(np.std(positions, ddof=1)) if accepted >= 2 else math.nan
     return RunSummary(
         trials=count,
         accepted=accepted,
-        first_click=ClickOutcome(position=float(positions[0]), raw_position=float(raw[0])),
-        mean=mean,
+        first_click=ClickOutcome(float(positions[0]), float(raw[0])) if accepted else None,
+        mean=float(np.mean(positions)) if accepted else math.nan,
         std=std,
-        stderr=stderr,
-        histogram=histogram,
+        stderr=std / math.sqrt(max(accepted, 1)),
+        clicks=positions,
     )
 
 
@@ -318,15 +300,16 @@ def first_click(
     """Trial index and outcome of the first accepted click, or None if no
     trial within `budget` passes post-selection.
 
-    Walks the same acceptance stream as run_trials, so the result matches
-    the first_click of any run_trials call with count >= index + 1."""
+    Takes the first batch of a one-gap walk of the acceptance stream
+    run_trials walks, so the result matches the first_click of any
+    run_trials call with count >= index + 1."""
     _check_run(seed, budget, "budget")
     sampler = _conditional_sampler(params, spec)
-    idx = int(next(_gap_batches(seed, sampler.probability, size=1))[0]) - 1
-    if idx >= budget:
+    index = next(_accepted_batches(seed, budget, sampler.probability, size=1))
+    if not index.size:
         return None
-    raw, positions = _clicks(seed, np.array([idx]), sampler, detector)
-    return idx, ClickOutcome(position=float(positions[0]), raw_position=float(raw[0]))
+    raw, positions = _clicks(seed, index, sampler, detector)
+    return int(index[0]), ClickOutcome(float(positions[0]), float(raw[0]))
 
 
 @dataclass(frozen=True)
@@ -366,7 +349,9 @@ def anomaly_report(click: ClickOutcome | None, params: ProtocolParams) -> Anomal
 
 
 def write_histogram(summary: RunSummary, out) -> None:
-    """Histogram as text: header '# pixel_center count', one pair per line."""
+    """Histogram of the run's clicks as text: header '# pixel_center count',
+    then one pair per occupied pixel in ascending order."""
+    centers, counts = np.unique(summary.clicks, return_counts=True)
     out.write("# pixel_center count\n")
-    for center, count in summary.histogram:
+    for center, count in zip(centers.tolist(), counts.tolist()):
         out.write(f"{center:.17g} {count}\n")

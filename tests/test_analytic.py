@@ -15,7 +15,7 @@ from wvsim import (
     wv_single,
 )
 from wvsim import analytic
-from wvsim.analytic import CouplingWeights, coupling_weights
+from wvsim.analytic import coupling_weights
 
 from conftest import draw_angles, single_denominator
 
@@ -81,10 +81,6 @@ class TestCouplingWeights:
             a, b = draw_angles(rng)
             w = coupling_weights(ProtocolParams(n=1, alpha=a, beta=b, delta=1.0))
             assert abs(w.mu) + abs(w.nu) <= 1.0 + 1e-12
-
-    def test_validates_range(self):
-        with pytest.raises(InvalidParameterError):
-            CouplingWeights(mu=1.5, nu=0.0)
 
 
 class TestWvSingle:

@@ -9,12 +9,26 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args, cwd):
+    """Run python with `args` in `cwd` on the repository's source tree."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # Demos write their output files to the working directory.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # The first python block under README's "Library quick start" must run
+    # as written.
+    section = (ROOT / "README.md").read_text().split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -20,16 +20,22 @@ from wvsim import (
 )
 from wvsim.cli import main
 from wvsim.montecarlo import (
+    _ACCEPT_STREAM,
+    _GAP_BATCH,
     MAX_TRIALS,
     ClickOutcome,
-    _accepted_indices,
+    _accepted_batches,
     _conditional_sampler,
     _first_uniforms,
-    _gap_batches,
     trial_rng,
 )
 
 DET = DetectorModel()
+
+
+def accepted_indices(seed, count, probability):
+    """All accepted trial indices of the walk, in batches of _GAP_BATCH gaps."""
+    return np.concatenate(list(_accepted_batches(seed, count, probability, _GAP_BATCH)))
 
 
 class TestDetectorModel:
@@ -84,6 +90,8 @@ class TestRunTrials:
         s1 = run_trials(33, 5000, params, spec, DET)
         s2 = run_trials(33, 5000, params, spec, DET)
         assert s1 == s2
+        # == leaves the clicks out; they must repeat too.
+        assert np.array_equal(s1.clicks, s2.clicks)
 
     def test_deterministic_for_fixed_state(self):
         # One seed fixes every per-trial stream: the first click and its
@@ -100,11 +108,23 @@ class TestRunTrials:
         spec = GridSpec.for_protocol(params, dx=0.05)
         s = run_trials(33, 5000, params, spec, DET)
         assert s.accepted <= s.trials
-        assert sum(count for _, count in s.histogram) == s.accepted
+        assert s.clicks.shape == (s.accepted,)
+        assert s.clicks[0] == s.first_click.position
+        with pytest.raises(ValueError):
+            s.clicks[0] = 0.0
         assert s.stderr == pytest.approx(s.std / math.sqrt(s.accepted))
         assert s.first_click is not None
         assert math.isfinite(s.first_click.position)
         assert math.isfinite(s.first_click.raw_position)
+
+    def test_cached_sampler_is_read_only(self):
+        # Every later run with the same settings reads the cached sampler.
+        params = PRESETS["d"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        sampler = _conditional_sampler(params, spec)
+        for array in (sampler.positions, sampler.cdf):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
 
     def test_first_click_prefix_stable(self):
         # first_click draws one gap where run_trials draws a batch.  Preset d
@@ -134,7 +154,7 @@ class TestRunTrials:
         s = run_trials(0, 100, params, spec, DET)
         assert s.accepted == 0 and s.first_click is None
         assert math.isnan(s.mean) and math.isnan(s.std) and math.isnan(s.stderr)
-        assert s.histogram == ()
+        assert s.clicks.size == 0
 
     def test_rejects_bad_arguments(self):
         params = PRESETS["d"]
@@ -165,8 +185,10 @@ class TestRunTrials:
         # At p = 1e-17 one batch of gaps sums far past 2**63, so the int64
         # running sum wraps; the walk must match the same gaps summed exactly.
         seed, probability = 5, 1e-17
-        indices = _accepted_indices(seed, MAX_TRIALS, probability)
-        gaps = next(_gap_batches(seed, probability))
+        indices = accepted_indices(seed, MAX_TRIALS, probability)
+        gaps = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_ACCEPT_STREAM,))
+        ).geometric(probability, size=_GAP_BATCH)
         sums = list(itertools.accumulate(int(g) for g in gaps))
         assert sums[-1] > MAX_TRIALS
         assert indices.tolist() == [s - 1 for s in sums if s <= MAX_TRIALS]
@@ -175,7 +197,7 @@ class TestRunTrials:
     def test_saturated_gap_is_past_every_count(self):
         # numpy's geometric(p) returns 2**63 - 1 for p below ~1e-19; that gap
         # lies past MAX_TRIALS, so it is no click.
-        assert _accepted_indices(1, MAX_TRIALS, 1e-25).size == 0
+        assert accepted_indices(1, MAX_TRIALS, 1e-25).size == 0
 
     def test_first_click_ignores_saturated_gap(self):
         # Grid probability ~1e-42, so the one gap drawn is saturated.
@@ -262,6 +284,6 @@ class TestExports:
         write_histogram(s, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# pixel_center count"
-        assert len(lines) == 1 + len(s.histogram)
+        assert len(lines) == 1 + len(set(s.clicks.tolist()))
         counts = [int(line.split()[1]) for line in lines[1:]]
         assert sum(counts) == s.accepted

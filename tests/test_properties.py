@@ -8,6 +8,7 @@ Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
 widths from 1e-6 to 1e6.  derandomize makes every run draw the same
 examples.
 """
+import io
 import math
 import sys
 import tracemalloc
@@ -39,10 +40,12 @@ from wvsim.grid import (  # noqa: E402
 )
 from wvsim.montecarlo import (  # noqa: E402
     _ACCEPT_STREAM,
-    _accepted_indices,
+    _GAP_BATCH,
+    _accepted_batches,
     _clicks,
     _conditional_sampler,
     _ConditionalSampler,
+    write_histogram,
 )
 
 blocks = st.integers(1, MAX_BLOCKS)
@@ -254,6 +257,11 @@ stream_examples = settings(derandomize=True, database=None, deadline=None, max_e
 DETECTOR = DetectorModel()
 
 
+def accepted_indices(seed, count, probability, size=_GAP_BATCH):
+    """All accepted trial indices of the walk, in batches of `size` gaps."""
+    return np.concatenate(list(_accepted_batches(seed, count, probability, size)))
+
+
 @stream_examples
 @given(setting=stream_settings, seed=seeds, data=st.data())
 def test_run_trials_prefix_stable(setting, seed, data):
@@ -262,8 +270,8 @@ def test_run_trials_prefix_stable(setting, seed, data):
     small = data.draw(st.integers(1, large))
     spec = GridSpec.for_protocol(params, dx=0.05)
     probability = _conditional_sampler(params, spec).probability
-    head = _accepted_indices(seed, small, probability)
-    whole = _accepted_indices(seed, large, probability)
+    head = accepted_indices(seed, small, probability)
+    whole = accepted_indices(seed, large, probability)
     assert np.array_equal(head, whole[whole < small])
     short = run_trials(seed, small, params, spec, DETECTOR)
     long = run_trials(seed, large, params, spec, DETECTOR)
@@ -286,7 +294,7 @@ def test_first_click_is_run_trials_first_click(setting, seed, data):
         index, outcome = found
         assert outcome == run.first_click
         probability = _conditional_sampler(params, spec).probability
-        assert index == _accepted_indices(seed, budget, probability)[0]
+        assert index == accepted_indices(seed, budget, probability)[0]
 
 
 def exact_gap_walk(seed, count, probability):
@@ -311,18 +319,18 @@ def exact_gap_walk(seed, count, probability):
        seed=seeds, data=st.data())
 def test_accepted_indices_equal_exact_gap_walk(probability, seed, data):
     count = data.draw(st.integers(1, int(2000 / probability)))
-    indices = _accepted_indices(seed, count, probability)
+    indices = accepted_indices(seed, count, probability)
     assert indices.tolist() == exact_gap_walk(seed, count, probability)
 
 
-# At 10 trials of p = 0.0025 the walk expects 0.025 clicks and draws one gap
+# At 10 trials of p = 0.0025 a run expects 0.025 clicks and walks one gap
 # per batch, so each of these seeds, which accept one or two trials, needs
 # a second or third batch.
 @pytest.mark.parametrize("seed", [57, 61, 87, 7407, 16264, 22606])
 def test_accepted_indices_continue_past_a_short_batch(seed):
     expected = exact_gap_walk(seed, 10, 0.0025)
     assert expected
-    assert _accepted_indices(seed, 10, 0.0025).tolist() == expected
+    assert accepted_indices(seed, 10, 0.0025, size=1).tolist() == expected
 
 
 # A pass probability of 1, or a few ulps above it as a normalised sum can
@@ -331,7 +339,7 @@ def test_accepted_indices_continue_past_a_short_batch(seed):
 def test_sure_pass_accepts_every_trial(probability, monkeypatch):
     runs = [(0, 1), (7, 5000), (2 ** 128 - 1, 70000)]  # 70000 spans three batches
     for seed, count in runs:
-        assert np.array_equal(_accepted_indices(seed, count, probability), np.arange(count))
+        assert np.array_equal(accepted_indices(seed, count, probability), np.arange(count))
     params = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
     spec = GridSpec.for_protocol(params, dx=0.05)
     real = _conditional_sampler(params, spec)
@@ -380,10 +388,12 @@ def test_histogram_equals_per_bin_reference(setting, seed, detector):
     params, count = setting
     spec = GridSpec.for_protocol(params, dx=0.05)
     sampler = _conditional_sampler(params, spec)
-    indices = _accepted_indices(seed, count, sampler.probability)
+    indices = accepted_indices(seed, count, sampler.probability)
     raw, _ = _clicks(seed, indices, sampler, detector)
     uniq, counts = np.unique(detector.pixel_index(raw), return_counts=True)
-    reference = tuple(
-        (float(k * detector.pixel_pitch), int(n)) for k, n in zip(uniq, counts))
-    # repr tells apart signed zeros and numpy scalars, which == would not.
-    assert repr(run_trials(seed, count, params, spec, detector).histogram) == repr(reference)
+    # The .17g format tells apart signed zeros, which == would not.
+    reference = "# pixel_center count\n" + "".join(
+        f"{float(k * detector.pixel_pitch):.17g} {int(n)}\n" for k, n in zip(uniq, counts))
+    out = io.StringIO()
+    write_histogram(run_trials(seed, count, params, spec, detector), out)
+    assert out.getvalue() == reference
