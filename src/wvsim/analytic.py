@@ -255,16 +255,6 @@ class PointerSuperposition:
     shifts: np.ndarray = field(repr=False)
     amplitudes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        shifts = np.asarray(self.shifts, dtype=int)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if shifts.shape != amps.shape or shifts.ndim != 1:
-            raise InvalidParameterError("shifts and amplitudes must be matching 1-d arrays")
-        if np.any(np.diff(shifts) != 2):
-            raise InvalidParameterError("shifts must increase in steps of 2")
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "amplitudes", amps)
-
 
 def final_amplitudes(params: ProtocolParams) -> PointerSuperposition:
     """Amplitudes and shifts of the exact final pointer superposition."""
@@ -283,7 +273,11 @@ def expectation_sigma_sum(n: int, angle: float) -> float:
     baseline against which anomalous weak values are judged."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    return n * math.cos(2.0 * angle)
+    double = 2.0 * angle
+    if math.isinf(double):  # |angle| >= 2**1023: cos 2a = (cos a - sin a)(cos a + sin a)
+        c, s = math.cos(angle), math.sin(angle)
+        return n * ((c - s) * (c + s))
+    return n * math.cos(double)
 
 
 class SweepPoint(NamedTuple):

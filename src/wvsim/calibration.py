@@ -48,8 +48,3 @@ def calibrate(raw_v_mean: float, raw_h_mean: float, n: int) -> Calibration:
 def to_calibrated(cal: Calibration, raw: float) -> float:
     """Raw detector coordinate to eigenvalue-scaled pointer units."""
     return (raw - cal.offset) / cal.scale
-
-
-def to_raw(cal: Calibration, calibrated: float) -> float:
-    """Eigenvalue-scaled pointer units back to raw detector coordinates."""
-    return cal.offset + cal.scale * calibrated

@@ -78,8 +78,6 @@ _DEFAULTS = {
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -253,7 +251,10 @@ def cmd_sweep(values: dict, beta_min: float, beta_max: float, steps: int) -> int
     lines = _header("sweep", values, beta_min=beta_min, beta_max=beta_max, steps=steps)
     lines.append("beta,weak_value,pointer_std,probability,initial_width")
     width = _fmt(values["delta"])
-    betas = np.linspace(beta_min, beta_max, steps)
+    if math.isfinite(2.0 * (beta_max - beta_min)):
+        betas = np.linspace(beta_min, beta_max, steps)
+    else:  # a span past half the float range, laid out in exact quarters
+        betas = 4.0 * np.linspace(beta_min / 4.0, beta_max / 4.0, steps)
     for beta, wv, std, prob in sweep_beta(values["n"], values["alpha"], values["delta"], betas):
         if math.isnan(prob):  # orthogonal post-selection
             lines.append(f"{beta:.17g},,,,{width}")

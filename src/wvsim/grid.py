@@ -36,7 +36,8 @@ agree, which is the protocol's central equivalence.
 Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
 final state: the per-block pass weights telescope to it.  Both take that
-norm once, in the same routine, which also normalizes the state in place.
+norm once, in the same routine, which also normalizes the state in place;
+a squared norm that underflows to zero is a failed post-selection.
 Both refuse grids of more than MAX_GRID_NODES nodes before allocating any.
 A caller that runs both routes (the `oracle` command) builds the initial
 Gaussian once with `initial_state` and passes it to each as `initial=`;
@@ -57,7 +58,7 @@ from typing import TextIO
 import numpy as np
 
 from .analytic import ProtocolParams, coupling_weights
-from .errors import InvalidParameterError, MemoryGuardError, TruncationError
+from .errors import InvalidParameterError, MemoryGuardError, PostselectionError, TruncationError
 
 # Hard support cutoff of the initial Gaussian, in units of its width.
 SUPPORT_SIGMAS = 8.0
@@ -70,8 +71,8 @@ DEFAULT_DX = 0.01
 MAX_JOINT_ENTRIES = 2 ** 27
 
 # Refuse grids of more than this many nodes before any node array exists.
-# Building the conditional sampler peaks at ~40 bytes per node (tracemalloc),
-# so the budget holds a grid evolution near 1 GB.
+# Building the conditional sampler peaks at ~32 bytes per node (tracemalloc),
+# so the budget holds a grid evolution near 800 MB.
 MAX_GRID_NODES = 25_000_000
 
 # Entries per pass of the exact sum: bounds its scratch buffers.  A click
@@ -176,18 +177,13 @@ class GridWavefunction:
         node-sized array."""
         return _exact_sum(self.amplitudes, squares=True) * self.spec.dx
 
-    def normalized(self) -> "GridWavefunction":
-        wf = GridWavefunction(self.spec, self.amplitudes.copy())
-        wf._normalize()
-        return wf
-
     def _normalize(self) -> float:
         """Scales the amplitudes to unit norm in place; returns the squared
-        norm before scaling."""
+        norm before scaling.  A zero norm raises PostselectionError."""
         squared = self.squared_norm()
         norm = math.sqrt(squared)
         if norm <= 0:
-            raise InvalidParameterError("cannot normalize a zero wavefunction")
+            raise PostselectionError("post-selected grid state underflows to zero norm")
         # Times the reciprocal, as numpy divides a complex array by a real
         # scalar: a plain division would move the last bits of the state.
         self.amplitudes *= 1.0 / norm
@@ -302,30 +298,13 @@ def _translation(amps: np.ndarray, spec: GridSpec, units: int) -> tuple[slice, s
     return slice(None), slice(None)
 
 
-def apply_block(wf: GridWavefunction, mu: float, nu: float) -> GridWavefunction:
-    """One pre-select / couple / post-select block acting on the pointer,
-    with the block's coupling weights mu and nu (see `coupling_weights`).
-
-    Returns the unnormalized output, mu times wf moved by +1 plus nu times
-    wf moved by -1; its squared norm over the input's is the block's pass
-    weight.  Weights (1, 0) and (0, 1) give the exact unit shifts.  The
-    sequential route runs the same kernel, `_block_into`, on reused buffers;
-    this form allocates the output and a scratch buffer of at most
-    BLOCK_NODES entries.
-    """
-    amps = wf.amplitudes
-    out = np.empty_like(amps)
-    _block_into(out, amps, wf.spec, mu, nu, np.empty(min(BLOCK_NODES, amps.size)))
-    return GridWavefunction(wf.spec, out)
-
-
 def _block_into(
     out: np.ndarray, amps: np.ndarray, spec: GridSpec, mu: float, nu: float,
     scratch: np.ndarray,
 ) -> None:
-    """Writes mu * (amps moved by +1) + nu * (amps moved by -1) into `out`,
-    which must not overlap `amps`.  The nu products pass through `scratch`
-    a block at a time and are added in place."""
+    """The one block kernel: writes mu * (amps moved by +1) + nu * (amps
+    moved by -1) into `out`, which must not overlap `amps`.  The nu products
+    pass through `scratch` a block at a time and are added in place."""
     dst, src = _translation(amps, spec, +1)
     np.multiply(amps[src], mu, out=out[dst])
     out[:dst.start] = 0.0  # the first unit's nodes get no +1 term

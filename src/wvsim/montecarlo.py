@@ -35,10 +35,11 @@ deviations above it) and draws another only if one falls short.  The
 inverse-CDF lookup searches the uniforms in sorted order, where numpy's
 searchsorted starts each search from the previous key's result, and
 scatters the indices back; each index is the same whatever the key
-order.  A run keeps its clicks' pixel centers; only `write_histogram`
-bins them, with one np.unique.  Every pass probability takes the same
-walk: it is clamped to 1, where every geometric gap is 1 and every
-trial is accepted.
+order.  The cached sampler keeps the CDF, not the node positions.  A
+run keeps its clicks' pixel centers; only `write_histogram` bins them,
+with one np.unique.  Every pass probability takes the same walk: it is
+clamped to 1, where every geometric gap is 1 and every trial is
+accepted.
 """
 from __future__ import annotations
 
@@ -136,11 +137,13 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class _ConditionalSampler:
-    """Precomputed inverse-CDF sampler for the final conditional density."""
+    """Precomputed inverse-CDF sampler for the final conditional density;
+    cdf[j] is the CDF at node first_node + j of the lattice x = k dx."""
 
     probability: float
-    positions: np.ndarray = field(repr=False)
     cdf: np.ndarray = field(repr=False)
+    first_node: int
+    dx: float
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to positions, linear inside each cell."""
@@ -154,16 +157,17 @@ class _ConditionalSampler:
         lo = c[idx - 1]
         hi = c[idx]
         frac = np.clip((u - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0, 1.0)
-        dx = self.positions[1] - self.positions[0]
-        return self.positions[idx - 1] + frac * dx
+        # Bit for bit as spec.positions() gives them: the node left of each
+        # key, and the first cell's width, which can differ from dx.
+        width = (self.first_node + 1) * self.dx - self.first_node * self.dx
+        return (idx + (self.first_node - 1)) * self.dx + frac * width
 
 
 @lru_cache(maxsize=16)
 def _conditional_sampler(params: ProtocolParams, spec: GridSpec) -> _ConditionalSampler:
     wf, probability = evolve_sequential(params, spec)
-    sampler = _ConditionalSampler(probability=probability, positions=spec.positions(), cdf=cdf(wf))
+    sampler = _ConditionalSampler(probability, cdf(wf), first_node=-spec.half_nodes, dx=spec.dx)
     # Cached and shared by every later run: frozen, so no caller can alter it.
-    sampler.positions.flags.writeable = False
     sampler.cdf.flags.writeable = False
     return sampler
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wvsim import PRESETS
+from wvsim.grid import _translation
 
 # Published reference values for the bundled presets: weak value and final
 # pointer width, both rounded to one decimal.
@@ -37,3 +38,12 @@ def single_denominator(alpha: float, beta: float, delta: float) -> float:
     nu = math.sin(alpha) * math.sin(beta)
     f = math.exp(-0.5 / (delta * delta))
     return mu * mu + nu * nu + 2.0 * mu * nu * f
+
+
+def translated(amps, spec, units):
+    """A copy of the node values `amps` moved `units` pointer units through
+    `_translation`."""
+    dst, src = _translation(amps, spec, units)
+    out = np.zeros_like(amps)
+    out[dst] = amps[src]
+    return out

@@ -329,6 +329,20 @@ class TestExpectation:
         with pytest.raises(InvalidParameterError):
             expectation_sigma_sum(0, 0.3)
 
+    # cos(2 angle) to 2000 bits (mpmath) where 2 angle overflows a float.
+    @pytest.mark.parametrize("angle, cos_2a", [
+        (1.7976931348623157e308, 0.9999507580093402),
+        (-1.7976931348623157e308, 0.9999507580093402),
+        (2.0 ** 1023, 0.36577420712042863),
+    ])
+    def test_angle_whose_double_overflows(self, angle, cos_2a):
+        assert math.isinf(2.0 * angle)
+        assert expectation_sigma_sum(7, angle) == pytest.approx(7 * cos_2a, rel=2.3e-16)
+
+    def test_bits_kept_where_the_double_is_finite(self):
+        for angle in (0.62, -3.1, 1e300, 8.988e307, -8.988e307):
+            assert expectation_sigma_sum(7, angle) == 7 * math.cos(2.0 * angle)
+
 
 class TestSweepBeta:
     def test_symmetric_point_zero(self):

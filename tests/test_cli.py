@@ -234,6 +234,13 @@ class TestWvCommand:
         assert run_cli(["wv", "--delta", "-1"]) == 1
         assert run_cli(["click", "--preset", "d", "--trials", str(2**63)]) == 1
 
+    def test_angle_whose_double_overflows(self, capsys):
+        # 2 alpha overflows a float; the expectation still comes out finite.
+        assert run_cli(["wv", "--alpha", "1.7976931348623157e308", "--beta", "0.62",
+                        "--delta", "3"]) == 0
+        expectation = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+        assert float(expectation) == pytest.approx(7 * 0.9999507580093402, rel=2.3e-16)
+
     @pytest.mark.parametrize("delta", ["1e160", "1e-200"])
     def test_width_outside_domain_is_refused(self, delta, capsys):
         # Outside the declared widths the width integrand overflows
@@ -332,6 +339,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "beta_max must be finite, got inf" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("bounds, betas", [
+        (["1.7976931348623157e308", "-1.7976931348623157e308", "3"],
+         [1.7976931348623157e308, 0.0, -1.7976931348623157e308]),
+        (["0", "1.7976931348623157e308", "4"],
+         [0.0, 5.9923104495410527e307, 1.1984620899082105e308, 1.7976931348623157e308]),
+    ])
+    def test_span_past_the_float_range(self, bounds, betas, capsys):
+        # np.linspace overflows over such a span, which escaped main as a
+        # warning; the grid is laid out in quarters instead.
+        assert run_cli(["sweep", "--", *bounds]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+        assert [float(row.split(",")[0]) for row in rows[1:]] == betas
+
     def test_oversized_sweep_is_refused(self, capsys):
         steps = cli.MAX_SWEEP_STEPS + 1
         assert run_cli(["sweep", "--n", "7", "0.3", "3.0", str(steps)]) == 2
@@ -423,6 +443,20 @@ class TestLatticeRule:
     def test_click_on_near_integer_spacing(self, capsys):
         assert run_cli(["click", "--preset", "a", "--grid_dx", "0.0100000000005"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestUnderflowingGridState:
+    # mu = cos(pi/2) ~ 6e-17 and nu = 0: the post-selected grid state's
+    # squared norm underflows to zero, a failed post-selection.
+    @pytest.mark.parametrize("argv", [
+        ["click", "--n", "60", "--alpha", "0", "--beta", "1.5707963267948966", "--grid_dx", "0.5"],
+        ["oracle", "--n", "12", "--alpha", "0", "--beta", "1.5707963267948966", "--grid_dx", "0.5"],
+    ])
+    def test_exit_2_with_an_error_line(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: post-selected grid state underflows to zero norm\n"
 
 
 class TestOversizedGrid:

@@ -28,36 +28,33 @@ from wvsim.grid import (
     MAX_GRID_NODES,
     SUPPORT_SIGMAS,
     GridWavefunction,
+    _block_into,
     _check_joint_budget,
     _exact_sum,
     _require_domain,
     _translation,
-    apply_block,
     init_gaussian,
     initial_state,
 )
 from wvsim.montecarlo import _conditional_sampler
+
+from conftest import translated
 
 
 def small_spec(width=1.0, dx=0.05, margin=2.0):
     return GridSpec(dx=dx, half_span=margin + 8.0 * width)
 
 
-def translated(amps, spec, units):
-    """A copy of the node values `amps` moved `units` pointer units through
-    `_translation`."""
-    dst, src = _translation(amps, spec, units)
-    out = np.zeros_like(amps)
-    out[dst] = amps[src]
-    return out
+def block(spec, delta, alpha, beta):
+    """One block of the angles (alpha, beta) on the width-delta Gaussian,
+    through evolve_sequential at n = 1: the normalized output and the
+    block's pass weight."""
+    return evolve_sequential(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=delta), spec)
 
 
-def block(wf, alpha, beta):
-    """apply_block with the coupling weights of the angles (alpha, beta), and
-    the block's pass weight: output over input squared norm."""
-    w = coupling_weights(ProtocolParams(n=1, alpha=alpha, beta=beta, delta=1.0))
-    out = apply_block(wf, w.mu, w.nu)
-    return out, out.squared_norm() / wf.squared_norm()
+def translated_wf(wf, units):
+    """`wf` moved `units` pointer units, through `translated`."""
+    return GridWavefunction(wf.spec, translated(wf.amplitudes, wf.spec, units))
 
 
 def complex_sequential(params, spec):
@@ -140,12 +137,11 @@ class TestInitGaussian:
 
 
 class TestShift:
-    # apply_block with weights (1, 0) is the exact +1 shift, (0, 1) the -1
-    # shift; other whole-unit moves go through _translation itself.
+    # Every whole-unit move goes through _translation.
     def test_mean_moves_by_displacement(self):
         spec = GridSpec(dx=0.05, half_span=60.0)
         wf = init_gaussian(spec, width=5.84)
-        mean, _ = moments(apply_block(wf, 1.0, 0.0).normalized())
+        mean, _ = moments(translated_wf(wf, 1))
         assert mean == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_shift_is_identity(self):
@@ -157,39 +153,38 @@ class TestShift:
     def test_round_trip_is_exact(self):
         spec = small_spec()
         wf = init_gaussian(spec, width=1.0)
-        back = apply_block(apply_block(wf, 1.0, 0.0), 0.0, 1.0)
+        back = translated_wf(translated_wf(wf, 1), -1)
         assert np.array_equal(back.amplitudes, wf.amplitudes)
 
     def test_norm_preserved_bit_exactly(self):
         spec = small_spec()
         wf = init_gaussian(spec, width=1.0)
-        assert apply_block(wf, 1.0, 0.0).squared_norm() == wf.squared_norm()
-        assert apply_block(wf, 0.0, 1.0).squared_norm() == wf.squared_norm()
+        assert translated_wf(wf, 1).squared_norm() == wf.squared_norm()
+        assert translated_wf(wf, -1).squared_norm() == wf.squared_norm()
 
     def test_support_leaving_domain(self):
         spec = small_spec(width=1.0, margin=0.5)
         wf = init_gaussian(spec, width=1.0)
         with pytest.raises(TruncationError, match="past \\+half_span"):
             _translation(wf.amplitudes, spec, 1)
-        with pytest.raises(TruncationError):
-            apply_block(wf, 1.0, 0.0)
+        out, scratch = np.empty(spec.node_count), np.empty(BLOCK_NODES)
+        with pytest.raises(TruncationError, match="past \\+half_span"):
+            _block_into(out, wf.amplitudes, spec, 1.0, 0.0, scratch)
 
 
 class TestApplyBlock:
     def test_pure_h_passes_whole(self):
         spec = small_spec(width=1.0, margin=3.0)
-        wf = init_gaussian(spec, width=1.0)
-        out, weight = block(wf, 0.0, 0.0)
+        out, weight = block(spec, 1.0, 0.0, 0.0)
         assert weight == pytest.approx(1.0, abs=1e-12)
-        mean, _ = moments(out.normalized())
+        mean, _ = moments(out)
         assert mean == pytest.approx(1.0, abs=1e-10)
 
     def test_antisymmetric_superposition_loses_weight(self):
         # alpha = pi/4, beta = 3 pi/4 gives mu = -nu: destructive overlap.
         delta = 1.5
         spec = small_spec(width=delta, margin=3.0)
-        wf = init_gaussian(spec, width=delta)
-        _, weight = block(wf, math.pi / 4, 3 * math.pi / 4)
+        _, weight = block(spec, delta, math.pi / 4, 3 * math.pi / 4)
         expected = 0.5 - 0.5 * math.exp(-0.5 / (delta * delta))
         assert weight < 1.0
         assert weight == pytest.approx(expected, abs=1e-9)
@@ -200,8 +195,7 @@ class TestApplyBlock:
             a, b = rng.uniform(0, 2 * math.pi, size=2)
             delta = float(rng.uniform(0.5, 3.0))
             spec = small_spec(width=delta, margin=3.0)
-            wf = init_gaussian(spec, width=delta)
-            _, weight = block(wf, float(a), float(b))
+            _, weight = block(spec, delta, float(a), float(b))
             mu = math.cos(a) * math.cos(b)
             nu = math.sin(a) * math.sin(b)
             expected = mu * mu + nu * nu + 2 * mu * nu * math.exp(-0.5 / (delta * delta))
@@ -211,10 +205,8 @@ class TestApplyBlock:
         # n grid blocks vs the closed-form superposition recombined on the grid.
         params = ProtocolParams(n=4, alpha=0.7, beta=1.1, delta=2.0)
         spec = GridSpec.for_protocol(params, dx=0.05)
-        wf = init_gaussian(spec, width=params.delta)
-        chi = wf.amplitudes.copy()
-        for _ in range(params.n):
-            wf, _ = block(wf, params.alpha, params.beta)
+        chi = init_gaussian(spec, width=params.delta).amplitudes
+        wf, prob = evolve_sequential(params, spec)
         sup = final_amplitudes(params)
         recombined = np.zeros_like(chi)
         for shift_units, amp in zip(sup.shifts, sup.amplitudes):
@@ -225,7 +217,8 @@ class TestApplyBlock:
             else:
                 moved[:k] = chi[-k:]
             recombined += amp * moved
-        l2 = math.sqrt(float(np.sum(np.abs(wf.amplitudes - recombined) ** 2)) * spec.dx)
+        unnormalized = wf.amplitudes * math.sqrt(prob)
+        l2 = math.sqrt(float(np.sum(np.abs(unnormalized - recombined) ** 2)) * spec.dx)
         assert l2 < 1e-9
 
 
@@ -305,7 +298,7 @@ class TestEvolveSequential:
 
     def test_probability_is_product_of_block_weights(self):
         # Reference: the product of the per-block pass weights
-        # |apply_block(psi)|^2 / |psi|^2, which telescopes to the final norm.
+        # |_block_into(psi)|^2 / |psi|^2, which telescopes to the final norm.
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 20:
@@ -321,9 +314,11 @@ class TestEvolveSequential:
             spec = GridSpec.for_protocol(params, dx=0.05)
             w = coupling_weights(params)
             wf = init_gaussian(spec, width=delta)
+            scratch = np.empty(BLOCK_NODES)
             product = 1.0
             for _ in range(n):
-                out = apply_block(wf, w.mu, w.nu)
+                out = GridWavefunction(spec, np.empty(spec.node_count))
+                _block_into(out.amplitudes, wf.amplitudes, spec, w.mu, w.nu, scratch)
                 product *= out.squared_norm() / wf.squared_norm()
                 wf = out
             _, prob = evolve_sequential(params, spec)
@@ -563,7 +558,7 @@ class TestSharedInitialState:
 class TestMemoryBudget:
     def test_sampler_build_bytes_per_node(self):
         # MAX_GRID_NODES and README's bytes-per-node figure rest on this
-        # peak: five node arrays at once in `cdf`, 40.0 bytes per node plus
+        # peak: four node arrays at once in `cdf`, 32.0 bytes per node plus
         # a few kB of fixed objects, measured with tracemalloc.
         params = PRESETS["a"]
         spec = GridSpec.for_protocol(params, dx=0.0001)
@@ -574,22 +569,20 @@ class TestMemoryBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * spec.node_count + 2 ** 16
+        assert peak <= 32 * spec.node_count + 2 ** 16
 
 
 class TestMomentsAndCdf:
     def test_moments_of_plain_gaussian(self):
         spec = GridSpec(dx=0.05, half_span=30.0)
-        wf = apply_block(apply_block(init_gaussian(spec, width=3.0), 1.0, 0.0), 1.0, 0.0)
-        mean, std = moments(wf)
+        mean, std = moments(translated_wf(init_gaussian(spec, width=3.0), 2))
         assert mean == pytest.approx(2.0, abs=1e-6)
         assert std == pytest.approx(3.0, abs=1e-6)
 
     def test_symmetric_superposition_zero_mean(self):
         spec = GridSpec(dx=0.05, half_span=20.0)
-        wf = init_gaussian(spec, width=1.0)
-        mean, _ = moments(apply_block(wf, 1.0, 1.0).normalized())
-        assert abs(mean) < 1e-12
+        out, _ = block(spec, 1.0, math.pi / 4, math.pi / 4)
+        assert abs(moments(out)[0]) < 1e-12
 
     def test_cdf_endpoints_and_monotonicity(self):
         params = PRESETS["a"]

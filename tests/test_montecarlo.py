@@ -122,9 +122,8 @@ class TestRunTrials:
         params = PRESETS["d"]
         spec = GridSpec.for_protocol(params, dx=0.05)
         sampler = _conditional_sampler(params, spec)
-        for array in (sampler.positions, sampler.cdf):
-            with pytest.raises(ValueError):
-                array[0] = 5.0
+        with pytest.raises(ValueError):
+            sampler.cdf[0] = 5.0
 
     def test_first_click_prefix_stable(self):
         # first_click draws one gap where run_trials draws a batch.  Preset d

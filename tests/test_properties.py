@@ -1,13 +1,15 @@
 """Property tests of the closed-form moment kernel, the grid's exact sum,
 CDF, whole-unit shifts and two evolutions against each other and the
-closed forms, and the Monte Carlo acceptance stream, inverse-CDF lookup and
-histogram.
+closed forms, the Monte Carlo acceptance stream, inverse-CDF lookup and
+histogram, and the command line's mapping of errors to exit codes.
 
 Kernel settings are drawn over 1 <= n <= MAX_BLOCKS, any finite angles
 (with the orthogonal and eigenstate angles drawn on purpose) and pointer
 widths from 1e-6 to 1e6.  derandomize makes every run draw the same
 examples.
 """
+import contextlib
+import dataclasses
 import io
 import math
 import sys
@@ -34,9 +36,10 @@ from wvsim import (  # noqa: E402
     moments,
     run_trials,
 )
-from wvsim.analytic import MAX_BLOCKS, _moment_integrals  # noqa: E402
+from wvsim.analytic import MAX_BLOCKS, MAX_DELTA, MIN_DELTA, _moment_integrals  # noqa: E402
+from wvsim.cli import COMMAND_KEYS, main  # noqa: E402
 from wvsim.grid import (  # noqa: E402
-    EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum, apply_block, init_gaussian,
+    EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum, init_gaussian,
 )
 from wvsim.montecarlo import (  # noqa: E402
     _ACCEPT_STREAM,
@@ -47,6 +50,8 @@ from wvsim.montecarlo import (  # noqa: E402
     _ConditionalSampler,
     write_histogram,
 )
+
+from conftest import translated  # noqa: E402
 
 blocks = st.integers(1, MAX_BLOCKS)
 angles = st.one_of(
@@ -232,7 +237,7 @@ def test_shifts_move_whole_units(q, r):
     assert spec.nodes_per_unit == q
     wf = init_gaussian(spec, params.delta)
     amps = wf.amplitudes
-    plus, minus = apply_block(wf, 1.0, 0.0).amplitudes, apply_block(wf, 0.0, 1.0).amplitudes
+    plus, minus = translated(amps, spec, 1), translated(amps, spec, -1)
     assert np.array_equal(plus[q:], amps[:-q]) and not plus[:q].any()
     assert np.array_equal(minus[:-q], amps[q:]) and not minus[-q:].any()
     seq, p_seq = evolve_sequential(params, spec)
@@ -342,8 +347,7 @@ def test_sure_pass_accepts_every_trial(probability, monkeypatch):
         assert np.array_equal(accepted_indices(seed, count, probability), np.arange(count))
     params = ProtocolParams(n=1, alpha=0.0, beta=0.0, delta=2.0)
     spec = GridSpec.for_protocol(params, dx=0.05)
-    real = _conditional_sampler(params, spec)
-    sampler = _ConditionalSampler(probability, real.positions, real.cdf)
+    sampler = dataclasses.replace(_conditional_sampler(params, spec), probability=probability)
     monkeypatch.setattr("wvsim.montecarlo._conditional_sampler", lambda *_: sampler)
     for seed, count in runs:
         index, outcome = first_click(seed, count, params, spec, DETECTOR)
@@ -353,15 +357,16 @@ def test_sure_pass_accepts_every_trial(probability, monkeypatch):
         assert run.first_click == outcome
 
 
-def unsorted_draw(sampler, u):
-    """The inverse-CDF lookup with the keys searched in their given order."""
+def unsorted_draw(sampler, positions, u):
+    """The inverse-CDF lookup with the keys searched in their given order,
+    read from an array of the CDF's node positions."""
     c = sampler.cdf
     idx = np.clip(np.searchsorted(c, u), 1, c.size - 1)
     lo = c[idx - 1]
     hi = c[idx]
     frac = np.clip((u - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0, 1.0)
-    dx = sampler.positions[1] - sampler.positions[0]
-    return sampler.positions[idx - 1] + frac * dx
+    dx = positions[1] - positions[0]
+    return positions[idx - 1] + frac * dx
 
 
 # Densities with zero stretches inside and at the ends, so the CDF has flat
@@ -373,12 +378,24 @@ def unsorted_draw(sampler, u):
 def test_draw_equals_unsorted_search(density, data):
     dens = np.array(density) / sum(density)
     c = np.cumsum(dens) - 0.5 * dens
-    sampler = _ConditionalSampler(probability=1.0, positions=np.arange(c.size) * 0.25, cdf=c)
+    sampler = _ConditionalSampler(probability=1.0, cdf=c, first_node=0, dx=0.25)
     picks = data.draw(st.lists(st.integers(0, c.size - 1), max_size=40))
     free = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
     u = np.array(free + c[picks].tolist())
     u = u[data.draw(st.permutations(range(u.size)))] if u.size else u
-    assert np.array_equal(sampler.draw(u), unsorted_draw(sampler, u))
+    assert np.array_equal(sampler.draw(u), unsorted_draw(sampler, np.arange(c.size) * 0.25, u))
+
+
+@pytest.mark.parametrize("label", ["a", "b", "c", "d"])
+def test_draw_equals_lookup_in_node_positions(label):
+    # The sampler holds no positions array; its draws equal those read from
+    # spec.positions(), whose cell width differs from dx in the last bits.
+    spec = GridSpec.for_protocol(PRESETS[label], dx=0.01)
+    positions = spec.positions()
+    assert positions[1] - positions[0] != spec.dx
+    sampler = _conditional_sampler(PRESETS[label], spec)
+    u = np.concatenate([np.random.default_rng(4).random(20000), sampler.cdf])
+    assert np.array_equal(sampler.draw(u), unsorted_draw(sampler, positions, u))
 
 
 @stream_examples
@@ -397,3 +414,48 @@ def test_histogram_equals_per_bin_reference(setting, seed, detector):
     out = io.StringIO()
     write_histogram(run_trials(seed, count, params, spec, detector), out)
     assert out.getvalue() == reference
+
+
+# Any finite angle, the largest magnitudes included.  Widths at and just
+# past the declared bounds, far outside them, and inside them up to 1e3,
+# where a grid at dx 0.5 has at most ~32k nodes.
+cli_angles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([sys.float_info.max, -sys.float_info.max, 0.0, math.pi / 2]),
+)
+cli_widths = st.one_of(
+    st.sampled_from([MIN_DELTA, MAX_DELTA, 9.9e-151, 1.01e150]),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    st.floats(-320.0, -140.0).map(lambda e: 10.0 ** e),
+    st.floats(140.0, 308.0).map(lambda e: 10.0 ** e),
+)
+UNDERFLOW = dict(n=60, alpha=0.0, beta=math.pi / 2, delta=PRESETS["a"].delta, dx="0.5")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(command=st.sampled_from(["wv", "sweep", "click", "oracle"]), n=st.integers(1, MAX_BLOCKS),
+       alpha=cli_angles, beta=cli_angles, delta=cli_widths, dx=st.sampled_from(["0.5", "1"]),
+       beta_max=cli_angles, steps=st.integers(2, 5), trials=st.integers(1, 1000))
+@example(command="wv", alpha=sys.float_info.max, beta=0.62, delta=3.0, n=7, dx="0.5",
+         beta_max=0.0, steps=2, trials=1)
+@example(command="sweep", alpha=0.0, beta=sys.float_info.max, delta=3.0, n=7, dx="0.5",
+         beta_max=-sys.float_info.max, steps=2, trials=1)
+@example(command="sweep", alpha=0.0, beta=0.0, delta=3.0, n=7, dx="0.5",
+         beta_max=sys.float_info.max, steps=4, trials=1)
+@example(command="click", **UNDERFLOW, beta_max=0.0, steps=2, trials=10 ** 8)
+@example(command="oracle", **{**UNDERFLOW, "n": 12}, beta_max=0.0, steps=2, trials=1)
+def test_cli_maps_every_error_to_an_exit_code(command, n, alpha, beta, delta, dx, beta_max,
+                                             steps, trials):
+    # main never raises: it returns 0-3, with an `error:` line on exit 1 or 2.
+    # `--key=value` and `--` keep argparse from reading -1e300 as a flag.
+    flags = {"n": n, "alpha": repr(alpha), "beta": repr(beta), "delta": repr(delta),
+             "grid_dx": dx, "trials": trials}
+    argv = [command] + [f"--{key}={flags[key]}" for key in COMMAND_KEYS[command] if key in flags]
+    if command == "sweep":
+        argv += ["--", repr(beta), repr(beta_max), str(steps)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
