@@ -268,8 +268,13 @@ def cmd_oracle(values: dict, corrupt_mu: float = 0.0) -> int:
     """Cross-check the grid oracle against the closed forms.
 
     corrupt_mu deliberately perturbs the sequential evolution and must
-    make the check fail; it exists as a negative control.
+    make the check fail; it exists as a negative control.  It must be
+    finite with |corrupt_mu| <= 1: with |mu|, |nu| <= 1 each block then
+    grows the state at most threefold, far from overflow at MAX_BLOCKS.
     """
+    if not (math.isfinite(corrupt_mu) and abs(corrupt_mu) <= 1.0):
+        raise InvalidParameterError(
+            f"corrupt_mu must be finite with magnitude at most 1, got {corrupt_mu}")
     p = _protocol(values)
     grid = GridSpec.for_protocol(p, dx=values["grid_dx"])
     # Both routes start from one initial Gaussian.  initial_state runs both

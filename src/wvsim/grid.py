@@ -45,8 +45,8 @@ neither route writes into it.
 
 Besides its state buffers (the joint route's one, the sequential route's
 two, between which its blocks alternate), an evolution allocates only
-scratch whose size the grid does not raise past a constant: at most
-EXACT_SUM_CHUNK entries per exact-sum buffer, BLOCK_NODES entries for a
+scratch whose size the grid does not raise past a constant: two exact-sum
+buffers of at most EXACT_SUM_CHUNK entries, BLOCK_NODES entries for a
 block's weighted translation and n + 1 joint rows of BLOCK_NODES entries.
 """
 from __future__ import annotations
@@ -75,19 +75,10 @@ MAX_JOINT_ENTRIES = 2 ** 27
 # so the budget holds a grid evolution near 800 MB.
 MAX_GRID_NODES = 25_000_000
 
-# Entries per pass of the exact sum: bounds its scratch buffers.  A click
-# grid (6-11k nodes) fits in one pass, which keeps the cost per call low.
+# Entries per chunk of the exact sum: bounds its two scratch buffers, and
+# at 2^14 each extraction pass clears 38 bits of the chunk's residuals.  A
+# click grid (6-11k nodes) fits in one chunk.
 EXACT_SUM_CHUNK = 2 ** 14
-
-# Bins of the exact sum: a finite double's frexp exponent plus 1074 lies in
-# [1, 2098].
-_EXACT_SUM_BINS = 2099
-
-# Copies of each exact-sum bin that consecutive entries rotate through, and
-# each entry's copy.
-_EXACT_SUM_LANES = 4
-_EXACT_SUM_LANE = np.arange(EXACT_SUM_CHUNK) % _EXACT_SUM_LANES
-_EXACT_SUM_LANE.flags.writeable = False
 
 # Nodes per block of the joint accumulation, and the length of a sequential
 # block's scratch buffer.  A larger block means fewer numpy calls (2^n adds
@@ -173,8 +164,8 @@ class GridWavefunction:
     def squared_norm(self) -> float:
         """Riemann squared norm sum |psi_i|^2 dx, summed exactly and rounded
         once, so the value is independent of where the support sits.  The
-        squares are formed chunk by chunk inside the exact sum, never as a
-        node-sized array."""
+        squares are formed chunk by chunk in the exact sum's own buffer,
+        never as a node-sized array."""
         return _exact_sum(self.amplitudes, squares=True) * self.spec.dx
 
     def _normalize(self) -> float:
@@ -194,58 +185,44 @@ def _exact_sum(values: np.ndarray, *, squares: bool = False) -> float:
     """Correctly rounded sum of a float64 array, or of its squares with
     squares=True, equal to math.fsum of those values.
 
-    np.frexp gives each value as M 2^(b - 1127), integer |M| < 2^53, bin b >= 1.
-    Each chunk of EXACT_SUM_CHUNK entries is split in place, in three
-    preallocated buffers, into M's parts above and below 2^27, and
-    np.bincount sums each part per bin, exactly: the sums stay below 2^41.
-    The bins span the chunk's own exponent range, and consecutive entries
-    rotate through _EXACT_SUM_LANES copies of each bin, so that neighbours,
-    which often share a bin, do not wait on each other's addition.  The
-    per-bin sums of all chunks accumulate in int64, exactly for up to 2^34
-    entries, and are combined as a Python int once, at the end; one int /
-    int division rounds.  Scratch memory is O(EXACT_SUM_CHUNK), whatever the
-    input's length.
+    Error-free level extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation", SIAM J. Sci. Comput., 2008), per chunk of at
+    most 2^L <= EXACT_SUM_CHUNK entries in two reused buffers.  With
+    max|v| < 2^E and sigma = 2^(E + L), q = (v + sigma) - sigma and v - q
+    are exact, and every q is a multiple of 2^(E + L - 53) of magnitude at
+    most 2^E: the sum of a chunk's q fits in 53 bits, so numpy's summation
+    order cannot round it.  Each pass leaves residuals 52 - L bits smaller;
+    math.fsum rounds the parts' exact total once.  Scratch memory is
+    O(EXACT_SUM_CHUNK), whatever the input's length.
     """
     size = values.size
     width = min(size, EXACT_SUM_CHUNK)
-    mantissa, high = np.empty(width), np.empty(width)
-    exponent = np.empty(width, dtype=np.intp)
-    sums = np.zeros((2, _EXACT_SUM_BINS), dtype=np.int64)
+    level = max(1, (width - 1).bit_length())  # a chunk has at most 2^level entries
+    buffer, scratch = np.empty(width), np.empty(width)
+    parts: list[float] = []
     for start in range(0, size, EXACT_SUM_CHUNK):
         chunk = values[start:start + EXACT_SUM_CHUNK]
-        m, h, e = mantissa[:chunk.size], high[:chunk.size], exponent[:chunk.size]
+        v, q = buffer[:chunk.size], scratch[:chunk.size]
         if squares:
-            np.multiply(chunk, chunk, out=m)
-            chunk = m
-        np.frexp(chunk, out=(m, e))
-        m *= 2.0 ** 26  # M 2^-27
-        np.floor(m, out=h)
-        m -= h  # the fraction, exactly
-        m *= 2.0 ** 27
-        first = int(e.min())
-        count = int(e.max()) - first + 1
-        e -= first
-        e *= _EXACT_SUM_LANES
-        e += _EXACT_SUM_LANE[:e.size]
-        into = slice(first + 1074, first + 1074 + count)
-        for row, part in enumerate((h, m)):
-            bins = np.bincount(e, weights=part, minlength=count * _EXACT_SUM_LANES)
-            bins = bins.reshape(count, _EXACT_SUM_LANES).sum(axis=1)
-            if not np.isfinite(bins).all():  # inf or nan in the input
+            np.multiply(chunk, chunk, out=v)
+        else:
+            np.copyto(v, chunk)
+        while True:
+            top = float(np.abs(v, out=q).max())
+            if top == 0.0:
+                break
+            if not math.isfinite(top):  # inf or nan in the input
                 return float(np.sum(values * values if squares else values))
-            sums[row, into] += bins.astype(np.int64)
-    # bins[j] counts 2^(j - 1127): low parts at their bin, high ones 27 up.
-    bins = np.zeros(_EXACT_SUM_BINS + 27, dtype=np.int64)
-    bins[:-27] = sums[1]
-    bins[27:] += sums[0]
-    used = np.flatnonzero(bins)
-    if used.size == 0:
-        return 0.0
-    base = int(used[0])
-    total = 0
-    for j, bin_sum in zip(used.tolist(), bins[used].tolist()):
-        total += bin_sum << (j - base)
-    return (total << base) / (1 << 1127)
+            exponent = math.frexp(top)[1] + level
+            if exponent > 1023:  # sigma would overflow: first pass only
+                parts.extend(v.tolist())
+                break
+            sigma = 2.0 ** exponent
+            np.add(v, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            v -= q
+    return math.fsum(parts)
 
 
 def init_gaussian(spec: GridSpec, width: float) -> GridWavefunction:

@@ -401,6 +401,19 @@ class TestOracleCommand:
         assert code == 3
         assert out.read_text().splitlines()[-1].endswith("FAIL")
 
+    @pytest.mark.parametrize("corrupt", ["nan", "inf", "1e300"])
+    def test_corruption_must_be_small_and_finite(self, corrupt, monkeypatch, capsys):
+        # Unchecked, a NaN reads as nonzero amplitude in the truncation check
+        # and inf or 1e300 overflow the state with numpy warnings; the check
+        # runs before any grid work.
+        def no_grid_work(*args):
+            raise AssertionError("grid work before the corrupt_mu check")
+
+        monkeypatch.setattr(cli, "initial_state", no_grid_work)
+        assert run_cli(["oracle", "--preset", "a", f"--corrupt-mu={corrupt}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: corrupt_mu must be finite" in err and "Warning" not in err
+
     def test_joint_budget_refuses_before_sequential_work(self, monkeypatch, capsys):
         # n = 13 at dx = 0.001 touches 8192 x 119441 joint entries, over the
         # budget: the oracle must refuse it before spending time on the

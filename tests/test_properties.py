@@ -127,8 +127,22 @@ float_arrays = st.one_of(st.lists(wide_floats, max_size=200), windowed_arrays).m
 
 @kernel_settings
 @given(values=float_arrays)
+@example(values=np.array([1.5 * 2.0 ** 1022, -1.5 * 2.0 ** 1022, 3.0]))
+@example(values=np.array([2.0 ** 1023, -2.0 ** 1023] * 5 + [5e-324]))
 def test_exact_sum_equals_fsum(values):
+    # The examples' top exponent plus the chunk's level passes 1023, where
+    # the extraction constant would overflow.
     assert _exact_sum(values) == math.fsum(values)
+
+
+@pytest.mark.parametrize("squares", [False, True])
+@pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+def test_exact_sum_of_inf_or_nan_terminates(special, squares):
+    # The value of numpy's plain sum, with no extraction pass on a non-finite.
+    values = np.array([1.0, special, 2.0 ** -1074, 3.0])
+    expected = special * special if squares else special
+    result = _exact_sum(values, squares=squares)
+    assert result == expected or (math.isnan(expected) and math.isnan(result))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -146,10 +160,11 @@ def test_exact_sum_equals_fsum_across_chunks(pattern, length):
 
 
 def test_exact_sum_worst_case_carry():
-    # Every entry has an all-ones mantissa, so both parts of every entry
-    # take their largest value, in one bin: the heaviest load the per-bin
-    # sums can carry, over every chunk of the largest grid the node budget
-    # admits.  A broadcast view holds the full length in no memory.
+    # Every entry has an all-ones mantissa, so every entry's extracted part
+    # rounds up to the chunk's bound 2^E and a full chunk's parts sum to
+    # exactly 2^(E + L), the largest level sum there is, over every chunk
+    # of the largest grid the node budget admits.  A broadcast view holds
+    # the full length in no memory.
     value = float(np.nextafter(2.0, 0.0))
     values = np.broadcast_to(value, (MAX_GRID_NODES,))
     exact = float(Fraction(value) * MAX_GRID_NODES)  # correctly rounded, as fsum
@@ -166,8 +181,8 @@ def test_exact_sum_memory_is_one_chunk(squares):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Three chunk buffers plus fixed bins, against 8 MB of input.
-    assert peak < 4 * 8 * EXACT_SUM_CHUNK + 2 ** 16
+    # Two chunk buffers and a short list of parts, against 8 MB of input.
+    assert peak < 2 * 8 * EXACT_SUM_CHUNK + 2 ** 16
 
 
 @kernel_settings
@@ -435,17 +450,23 @@ UNDERFLOW = dict(n=60, alpha=0.0, beta=math.pi / 2, delta=PRESETS["a"].delta, dx
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(command=st.sampled_from(["wv", "sweep", "click", "oracle"]), n=st.integers(1, MAX_BLOCKS),
        alpha=cli_angles, beta=cli_angles, delta=cli_widths, dx=st.sampled_from(["0.5", "1"]),
-       beta_max=cli_angles, steps=st.integers(2, 5), trials=st.integers(1, 1000))
+       beta_max=cli_angles, steps=st.integers(2, 5), trials=st.integers(1, 1000),
+       corrupt_mu=st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats()))
 @example(command="wv", alpha=sys.float_info.max, beta=0.62, delta=3.0, n=7, dx="0.5",
-         beta_max=0.0, steps=2, trials=1)
+         beta_max=0.0, steps=2, trials=1, corrupt_mu=0.0)
 @example(command="sweep", alpha=0.0, beta=sys.float_info.max, delta=3.0, n=7, dx="0.5",
-         beta_max=-sys.float_info.max, steps=2, trials=1)
+         beta_max=-sys.float_info.max, steps=2, trials=1, corrupt_mu=0.0)
 @example(command="sweep", alpha=0.0, beta=0.0, delta=3.0, n=7, dx="0.5",
-         beta_max=sys.float_info.max, steps=4, trials=1)
-@example(command="click", **UNDERFLOW, beta_max=0.0, steps=2, trials=10 ** 8)
-@example(command="oracle", **{**UNDERFLOW, "n": 12}, beta_max=0.0, steps=2, trials=1)
+         beta_max=sys.float_info.max, steps=4, trials=1, corrupt_mu=0.0)
+@example(command="click", **UNDERFLOW, beta_max=0.0, steps=2, trials=10 ** 8, corrupt_mu=0.0)
+@example(command="oracle", **{**UNDERFLOW, "n": 12}, beta_max=0.0, steps=2, trials=1,
+         corrupt_mu=0.0)
+@example(command="oracle", n=7, alpha=0.62, beta=2.53, delta=5.84, dx="0.5", beta_max=0.0,
+         steps=2, trials=1, corrupt_mu=math.inf)
+@example(command="oracle", n=7, alpha=0.62, beta=2.53, delta=5.84, dx="0.5", beta_max=0.0,
+         steps=2, trials=1, corrupt_mu=1e300)
 def test_cli_maps_every_error_to_an_exit_code(command, n, alpha, beta, delta, dx, beta_max,
-                                             steps, trials):
+                                             steps, trials, corrupt_mu):
     # main never raises: it returns 0-3, with an `error:` line on exit 1 or 2.
     # `--key=value` and `--` keep argparse from reading -1e300 as a flag.
     flags = {"n": n, "alpha": repr(alpha), "beta": repr(beta), "delta": repr(delta),
@@ -453,6 +474,8 @@ def test_cli_maps_every_error_to_an_exit_code(command, n, alpha, beta, delta, dx
     argv = [command] + [f"--{key}={flags[key]}" for key in COMMAND_KEYS[command] if key in flags]
     if command == "sweep":
         argv += ["--", repr(beta), repr(beta_max), str(steps)]
+    if command == "oracle":
+        argv.append(f"--corrupt-mu={corrupt_mu!r}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
