@@ -20,10 +20,14 @@ Each accepted trial then draws its click position from its own stream,
 the counter-based Philox4x64-10 generator with key = master seed and
 counter = trial index (`trial_rng`), so results are reproducible trial
 by trial and independent of execution order.  Because a Philox output
-block is a pure function of (key, counter), `run_trials` and
-`first_click` compute the first uniform of every accepted trial in one
-vectorised numpy pass (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11) instead of building one generator per click.
+block is a pure function of (key, counter), `run_trials` computes the
+first uniform of every accepted trial in one vectorised numpy pass
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+instead of building one generator per click.  The pass stacks the two
+multiplied words of all trials in one array and works in buffers made
+once per call; its fixed cost, some 150 numpy calls, is ten times that
+of one generator, so `first_click`, which has one trial, takes its
+uniform from `trial_rng` itself.
 
 Each step does only the work a run needs, without changing a bit of its
 output.  One generator, `_accepted_batches`, walks the acceptance stream
@@ -64,18 +68,22 @@ _GAP_BATCH = 32768
 MAX_TRIALS = 2 ** 63 - 2
 
 # Refuse runs expecting more accepted clicks than this.  A run peaks at
-# about 121 bytes of index, Philox and position arrays per accepted click
-# (measured with tracemalloc at 1e6 clicks of presets a and d; the peak is
-# the Philox pass), so the budget caps it near 1.2 GB.
+# 112 bytes per accepted click, in the Philox pass: the 8-byte index, the
+# pass's 96 bytes of buffers and its 8-byte uniform (tracemalloc, 112.07 at
+# 1e6 clicks of presets a and d), so the budget caps it near 1.1 GB.
 MAX_EXPECTED_CLICKS = 10 ** 7
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
-# as in numpy's Philox.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# as in numpy's Philox, as columns that act on the stacked words (c0, c2):
+# multiplier 0 on c0, multiplier 1 on c2.  Every operand of the uint64
+# arithmetic is a np.uint64, so no Python int enters numpy's type promotion.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+_PHILOX_M_LO = _PHILOX_M & _MASK32
 
 # Pixel indices must stay below this in magnitude, so that rounding and the
 # int64 cast are exact.
@@ -178,33 +186,54 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial_index))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit limbs."""
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _SHIFT32, x & _MASK32
-    lo_lo = m_lo * x_lo
-    mid = m_hi * x_lo + (lo_lo >> _SHIFT32)
-    mid2 = m_lo * x_hi + (mid & _MASK32)
-    hi = m_hi * x_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
-    return hi, np.uint64(m) * x
-
-
 def _first_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     """trial_rng(seed, i).random() for every i in `indices`, in one pass.
 
     The generator's first output block is Philox4x64-10 at counter i + 1;
-    random() takes word 0 of it as (x >> 11) * 2**-53."""
-    k0, k1 = seed & 0xFFFFFFFFFFFFFFFF, seed >> 64
-    c0 = indices.astype(np.uint64) + np.uint64(1)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-            k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return (c0 >> np.uint64(11)) * 2.0 ** -53
+    random() takes word 0 of it as (x >> 11) * 2**-53.  The two multiplied
+    words (c0, c2) are the rows of one (2, N) array `a` and the other two
+    (c1, c3) the rows of `b`, so a round is one 64 x 64 -> 128-bit multiply
+    of 2N words: a = hi[::-1] ^ b ^ key, b = lo[::-1].  The multiply runs
+    on 32-bit limbs.  Every step writes into one of six (2, N) buffers made
+    once per call (96 bytes per index): fresh temporaries this size would
+    each be mapped and unmapped by glibc above ~8k indices."""
+    # Round r is keyed by (k0 + r W0, k1 + r W1) mod 2**64, where (k0, k1)
+    # are the seed's low and high words.
+    words = (seed & 0xFFFFFFFFFFFFFFFF, seed >> 64)
+    keys = np.array(
+        [[[(k + r * w) & 0xFFFFFFFFFFFFFFFF] for k, w in zip(words, _PHILOX_W)]
+         for r in range(_PHILOX_ROUNDS)],
+        dtype=np.uint64,
+    )
+    a = np.zeros((2, indices.size), dtype=np.uint64)
+    np.copyto(a[0], indices, casting="unsafe")
+    a[0] += np.uint64(1)
+    b = np.zeros_like(a)
+    lo, t1, t2, t3 = (np.empty_like(a) for _ in range(4))
+    for key in keys:
+        # hi = m_hi x_hi + (mid >> 32) + (mid2 >> 32) in t1, where
+        # mid = m_hi x_lo + (m_lo x_lo >> 32) in t2 and
+        # mid2 = m_lo x_hi + (mid & mask) in t3; lo is scratch until its turn.
+        np.right_shift(a, _SHIFT32, out=t1)
+        np.bitwise_and(a, _MASK32, out=t2)
+        np.multiply(t2, _PHILOX_M_LO, out=t3)
+        t3 >>= _SHIFT32
+        t2 *= _PHILOX_M_HI
+        t2 += t3
+        np.multiply(t1, _PHILOX_M_LO, out=t3)
+        np.bitwise_and(t2, _MASK32, out=lo)
+        t3 += lo
+        t3 >>= _SHIFT32
+        t2 >>= _SHIFT32
+        t1 *= _PHILOX_M_HI
+        t1 += t2
+        t1 += t3
+        np.multiply(a, _PHILOX_M, out=lo[::-1])
+        np.bitwise_xor(t1[::-1], b, out=a)
+        a ^= key
+        b, lo = lo, b
+    np.right_shift(a[0], np.uint64(11), out=t1[0])
+    return t1[0] * 2.0 ** -53
 
 
 def _check_run(seed: int, trials: int, name: str) -> None:
@@ -242,11 +271,11 @@ def _accepted_batches(seed: int, count: int, probability: float, size: int):
 
 
 def _clicks(
-    seed: int, indices: np.ndarray, sampler: _ConditionalSampler, detector: DetectorModel
+    u: np.ndarray, sampler: _ConditionalSampler, detector: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw positions and pixel centers of the clicks of the accepted trials
-    `indices`, each drawn from the trial's own stream."""
-    raw = sampler.draw(_first_uniforms(seed, indices))
+    """Raw positions and pixel centers of the clicks whose trials drew the
+    first uniforms `u` from their own streams."""
+    raw = sampler.draw(u)
     return raw, detector.pixel_center(raw)
 
 
@@ -279,7 +308,7 @@ def run_trials(
     # `count`; six standard deviations above the mean make a second batch rare.
     size = int(min(_GAP_BATCH, expected + 6.0 * math.sqrt(expected) + 1.0))
     indices = np.concatenate(list(_accepted_batches(seed, count, sampler.probability, size)))
-    raw, positions = _clicks(seed, indices, sampler, detector)
+    raw, positions = _clicks(_first_uniforms(seed, indices), sampler, detector)
     positions.flags.writeable = False
     accepted = int(indices.size)
     std = float(np.std(positions, ddof=1)) if accepted >= 2 else math.nan
@@ -312,8 +341,9 @@ def first_click(
     index = next(_accepted_batches(seed, budget, sampler.probability, size=1))
     if not index.size:
         return None
-    raw, positions = _clicks(seed, index, sampler, detector)
-    return int(index[0]), ClickOutcome(float(positions[0]), float(raw[0]))
+    index = int(index[0])
+    raw, positions = _clicks(np.array([trial_rng(seed, index).random()]), sampler, detector)
+    return index, ClickOutcome(float(positions[0]), float(raw[0]))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wvsim import PRESETS, DetectorModel, GridSpec, analytic, cli, grid
+from wvsim import PRESETS, DetectorModel, GridSpec, analytic, cli, first_click, grid, montecarlo
 from wvsim.cli import COMMAND_KEYS, build_parser, build_config, main, parse_config_file
 
 from conftest import REFERENCE
@@ -511,6 +511,19 @@ class TestKernelCalls:
         monkeypatch.setattr(analytic, "_moment_integrals", counting)
         assert run_cli(argv) == 0
         assert len(calls) == rows
+
+
+    def test_one_click_never_enters_the_vector_pass(self, monkeypatch, capsys):
+        # One click takes its uniform from its own trial stream; the
+        # vectorised Philox pass, with its fixed cost, serves runs only.
+        def refuse(*args):
+            raise AssertionError("one click entered the vectorised Philox pass")
+
+        monkeypatch.setattr(montecarlo, "_first_uniforms", refuse)
+        params = PRESETS["d"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        assert first_click(9, 5000, params, spec, DetectorModel()) is not None
+        assert run_cli(["click", "--preset", "d"]) == 0
 
 
 class TestEntryPoint:

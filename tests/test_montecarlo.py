@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestTrialStreams:
         ])
         expected = np.array([trial_rng(seed, int(i)).random() for i in indices])
         assert np.array_equal(_first_uniforms(seed, indices), expected)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 8193])
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**128 - 1])
+    def test_uniforms_of_every_size_match_trial_rng(self, seed, size):
+        # The pass works in (2, size) buffers, which at 8193 indices pass
+        # glibc's 128 KiB mmap threshold.  A run with no accepted click
+        # sends the empty array through it and gets an empty float64 array.
+        indices = np.random.default_rng(size).integers(0, MAX_TRIALS, size=size)
+        indices[-1:] = MAX_TRIALS
+        expected = np.array([trial_rng(seed, int(i)).random() for i in indices], dtype=float)
+        u = _first_uniforms(seed, indices)
+        assert u.dtype == np.float64 and u.shape == (size,)
+        assert np.array_equal(u, expected)
 
     def test_table_accepts_largest_seed(self, capsys):
         # Row i of a table is keyed by seed + i, past 2**64 for this seed.
@@ -172,6 +186,22 @@ class TestRunTrials:
             first_click(1, MAX_TRIALS + 1, params, spec, DET)
         with pytest.raises(InvalidParameterError):
             run_trials(2**128, 10, params, spec, DET)
+
+    def test_memory_per_click_is_the_philox_pass(self):
+        # MAX_EXPECTED_CLICKS rests on this peak: each accepted click's
+        # 8-byte index plus the Philox pass's six (2, N) uint64 buffers and
+        # its float64 output, 112 bytes in all; the sampler is cached.
+        params = PRESETS["d"]
+        spec = GridSpec.for_protocol(params, dx=0.05)
+        count = int(2e5 / _conditional_sampler(params, spec).probability)
+        tracemalloc.start()
+        try:
+            s = run_trials(3, count, params, spec, DET)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.accepted > 10**5
+        assert peak < 112 * s.accepted + 2**20
 
     def test_memory_guard_on_expected_clicks(self):
         # Every trial passes, so 2**62 trials would mean 2**62 clicks.

@@ -48,6 +48,7 @@ from wvsim.montecarlo import (  # noqa: E402
     _clicks,
     _conditional_sampler,
     _ConditionalSampler,
+    _first_uniforms,
     write_histogram,
 )
 
@@ -421,7 +422,7 @@ def test_histogram_equals_per_bin_reference(setting, seed, detector):
     spec = GridSpec.for_protocol(params, dx=0.05)
     sampler = _conditional_sampler(params, spec)
     indices = accepted_indices(seed, count, sampler.probability)
-    raw, _ = _clicks(seed, indices, sampler, detector)
+    raw, _ = _clicks(_first_uniforms(seed, indices), sampler, detector)
     uniq, counts = np.unique(detector.pixel_index(raw), return_counts=True)
     # The .17g format tells apart signed zeros, which == would not.
     reference = "# pixel_center count\n" + "".join(
