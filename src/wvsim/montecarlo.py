@@ -338,10 +338,10 @@ def first_click(
     run_trials call with count >= index + 1."""
     _check_run(seed, budget, "budget")
     sampler = _conditional_sampler(params, spec)
-    index = next(_accepted_batches(seed, budget, sampler.probability, size=1))
-    if not index.size:
+    batch = next(_accepted_batches(seed, budget, sampler.probability, size=1))
+    if not batch.size:
         return None
-    index = int(index[0])
+    index = int(batch[0])
     raw, positions = _clicks(np.array([trial_rng(seed, index).random()]), sampler, detector)
     return index, ClickOutcome(float(positions[0]), float(raw[0]))
 

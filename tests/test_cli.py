@@ -512,8 +512,7 @@ class TestKernelCalls:
         assert run_cli(argv) == 0
         assert len(calls) == rows
 
-
-    def test_one_click_never_enters_the_vector_pass(self, monkeypatch, capsys):
+    def test_one_click_never_enters_the_vector_pass(self, monkeypatch):
         # One click takes its uniform from its own trial stream; the
         # vectorised Philox pass, with its fixed cost, serves runs only.
         def refuse(*args):
