@@ -3,8 +3,8 @@
 Two independent routes must meet:
   sequential - one pointer pushed through n pre/post-selection blocks;
   joint      - n qubits prepared at once, one sum coupling, then every
-               qubit post-selected (each of the 2^n bitstring rows is
-               projected as soon as it is built).
+               qubit post-selected (the 2^n projected bitstring rows are
+               summed pairwise, each tree level formed once).
 
 Both are plain wavefunction pushing with no binomial shortcuts, so their
 agreement with the analytic layer is a real cross-check.

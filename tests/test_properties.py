@@ -214,7 +214,7 @@ def grid_setting(n, alpha, beta, delta):
 
 
 @grid_settings
-@given(n=st.integers(1, 8), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
+@given(n=st.integers(1, 12), alpha=angles, beta=angles, delta=st.floats(0.5, 6.0))
 def test_sequential_equals_joint(n, alpha, beta, delta):
     found = grid_setting(n, alpha, beta, delta)
     if found is None:
