@@ -495,7 +495,7 @@ class TestEvolveJoint:
         # that.  The rows cancel (mu and nu have opposite signs, and
         # sum |row| / |sum| reaches 2e5 at n = 12), so the pairwise order is
         # not the more accurate one here; the textbook pairwise bound,
-        # n u sum |row|, is 40-70 times looser than what is measured.
+        # n u sum |row|, is 37-73 times looser than what is measured.
         preset = PRESETS["a"]
         params = ProtocolParams(n=n, alpha=preset.alpha, beta=preset.beta, delta=preset.delta)
         spec = GridSpec.for_protocol(params, dx=0.5)
