@@ -277,9 +277,9 @@ def cmd_oracle(values: dict, corrupt_mu: float = 0.0) -> int:
             f"corrupt_mu must be finite with magnitude at most 1, got {corrupt_mu}")
     p = _protocol(values)
     grid = GridSpec.for_protocol(p, dx=values["grid_dx"])
-    # Both routes start from one initial Gaussian.  initial_state runs both
-    # routes' guards first, so an evolution over the joint work budget is
-    # refused before any node array exists.
+    # Both routes start from one initial Gaussian.  initial_state runs the
+    # routes' guard first, so a grid over the node budget is refused before
+    # any node array exists.
     initial = initial_state(p, grid)
     joint, p_joint = evolve_joint(p, grid, initial=initial)
     seq, p_seq = evolve_sequential(p, grid, mu_offset=corrupt_mu, initial=initial)

@@ -20,8 +20,8 @@ class TruncationError(ProtocolError):
 
 
 class MemoryGuardError(ProtocolError):
-    """A joint qubit-pointer state would exceed the entry budget, or a
-    Monte Carlo run the accepted-click budget."""
+    """A grid would exceed the node budget, or a Monte Carlo run the
+    accepted-click budget."""
 
 
 class InternalConsistencyError(ProtocolError):

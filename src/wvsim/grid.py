@@ -41,8 +41,13 @@ Both routes start from the normalized Gaussian and carry the conditional
 state unnormalized, so the pass probability is the squared norm of the
 final state: the per-block pass weights telescope to it.  Both take that
 norm once, in the same routine, which also normalizes the state in place;
-a squared norm that underflows to zero is a failed post-selection.
-Both refuse grids of more than MAX_GRID_NODES nodes before allocating any.
+a squared norm that underflows to zero is a failed post-selection.  The
+norm is an exactly rounded sum: one extraction pass per chunk, whose
+residuals are summed in float64 under a rounding bound that certifies the
+result, with repeated passes as the fallback when it cannot.
+Both refuse grids of more than MAX_GRID_NODES nodes before allocating any;
+that node budget is the joint route's only size guard, as its memory is
+O(nodes) and its work n(n + 1)/2 adds per node.
 A caller that runs both routes (the `oracle` command) builds the initial
 Gaussian once with `initial_state` and passes it to each as `initial=`;
 neither route writes into it.
@@ -71,20 +76,18 @@ SUPPORT_SIGMAS = 8.0
 # Grid spacing of GridSpec.for_protocol unless one is given.
 DEFAULT_DX = 0.01
 
-# Refuse joint evolutions of more than this many entries, 2**n bitstring
-# rows x node_count nodes.  The pairwise route's work grows as n^2, not
-# 2^n, but the cap on 2^n x nodes is kept as it is until the oracle's
-# limits are derived again from what the route costs.
-MAX_JOINT_ENTRIES = 2 ** 27
-
 # Refuse grids of more than this many nodes before any node array exists.
 # Building the conditional sampler peaks at ~32 bytes per node (tracemalloc),
 # so the budget holds a grid evolution near 800 MB.
 MAX_GRID_NODES = 25_000_000
 
 # Entries per chunk of the exact sum: bounds its two scratch buffers, and
-# at 2^14 each extraction pass clears 38 bits of the chunk's residuals.  A
-# click grid (6-11k nodes) fits in one chunk.
+# at 2^14 a fallback extraction pass clears 38 bits of the chunk's
+# residuals.  A click grid (6-11k nodes) fits in one chunk.  The chunk size
+# also sets the fallback rate: for terms that are not negative the
+# certificate's bound is B <= 2^(3L - 104) S for a sum S and chunks of 2^L,
+# so at L = 14 at most about one sum in a few hundred lies within B of a
+# rounding midpoint and falls back; doubling the chunk multiplies that by 8.
 EXACT_SUM_CHUNK = 2 ** 14
 
 # Nodes per block of the joint accumulation, and the length of a sequential
@@ -192,20 +195,78 @@ def _exact_sum(values: np.ndarray, *, squares: bool = False) -> float:
     """Correctly rounded sum of a float64 array, or of its squares with
     squares=True, equal to math.fsum of those values.
 
-    Error-free level extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation", SIAM J. Sci. Comput., 2008), per chunk of at
-    most 2^L <= EXACT_SUM_CHUNK entries in two reused buffers.  With
-    max|v| < 2^E and sigma = 2^(E + L), q = (v + sigma) - sigma and v - q
-    are exact, and every q is a multiple of 2^(E + L - 53) of magnitude at
-    most 2^E: the sum of a chunk's q fits in 53 bits, so numpy's summation
-    order cannot round it.  Each pass leaves residuals 52 - L bits smaller;
-    math.fsum rounds the parts' exact total once.  Scratch memory is
-    O(EXACT_SUM_CHUNK), whatever the input's length.
+    One pass of error-free level extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation", Parts I and II, SIAM J. Sci.
+    Comput., 2008) per chunk of m <= 2^L <= EXACT_SUM_CHUNK entries, in two
+    reused buffers.  With max|v| < 2^E and sigma = 2^e, e = E + L,
+    q = (v + sigma) - sigma and r = v - q are exact, every q is a multiple
+    of 2^(e - 53) of magnitude at most 2^E, so the sum of a chunk's q fits
+    in 53 bits and numpy's summation order cannot round it; and |r| is at
+    most half an ulp of sigma's binade above it, 2^(e - 53).
+
+    The residuals are summed in plain float64.  In any order, m - 1
+    additions err by at most gamma_(m-1) sum|r| <= gamma_(m-1) m 2^(e-53)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 4.2), with
+    gamma_k = k u / (1 - k u) and u = 2^-53; for m <= 2^14 that is at most
+    m^2 2^(e - 106), half of B_c = 2 m^2 2^(e - 106).  The model behind
+    gamma holds for subnormal sums too: an addition whose exact result lies
+    below 2^-1021 is exact.  A B_c that underflows still bounds the chunk's
+    error: that error, a difference of numbers on the 2^-1074 grid, lies on
+    it and is at most B_c / 2, so B_c rounded to that grid is no smaller.
+
+    The certificate: with B = sum B_c, the exact total lies within B of
+    the parts' (the level sums and the residual sums), so if math.fsum
+    rounds the parts plus B and the parts minus B to the same float, that
+    float is the correctly rounded total, as rounding to nearest is
+    monotone.  Otherwise the exact total lies within B of a rounding
+    midpoint, and _exact_sum_by_passes repeats the extraction until every
+    residual is zero, as it does for input that is not finite or whose
+    sigma would overflow.  Scratch memory is O(EXACT_SUM_CHUNK), whatever
+    the input's length.
     """
     size = values.size
     width = min(size, EXACT_SUM_CHUNK)
     level = max(1, (width - 1).bit_length())  # a chunk has at most 2^level entries
     buffer, scratch = np.empty(width), np.empty(width)
+    parts: list[float] = []
+    bound = 0.0  # B, summed in float: its few rounding errors sit far inside B_c's factor 2
+    for start in range(0, size, EXACT_SUM_CHUNK):
+        chunk = values[start:start + EXACT_SUM_CHUNK]
+        m = chunk.size
+        v, q = buffer[:m], scratch[:m]
+        if squares:
+            np.multiply(chunk, chunk, out=v)
+            top = float(v.max())  # squares are not negative
+        else:
+            v = chunk  # read only: the residuals go to the buffer
+            top = float(np.abs(v, out=q).max())
+        if top == 0.0:
+            continue
+        exponent = math.frexp(top)[1] + level
+        if not math.isfinite(top) or exponent > 1023:
+            return _exact_sum_by_passes(values, squares, buffer, scratch)
+        sigma = 2.0 ** exponent
+        np.add(v, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        residuals = np.subtract(v, q, out=buffer[:m])
+        parts.append(float(residuals.sum()))
+        bound += math.ldexp(m * m, exponent - 105)
+    above = math.fsum(parts + [bound])
+    if above == math.fsum(parts + [-bound]):
+        return above
+    return _exact_sum_by_passes(values, squares, buffer, scratch)
+
+
+def _exact_sum_by_passes(
+    values: np.ndarray, squares: bool, buffer: np.ndarray, scratch: np.ndarray,
+) -> float:
+    """_exact_sum's fallback in _exact_sum's two chunk buffers: the same
+    level extraction repeated until every residual is zero.  Each pass
+    leaves residuals 52 - L bits smaller, and math.fsum rounds the parts'
+    exact total once."""
+    size = values.size
+    level = max(1, (buffer.size - 1).bit_length())  # a chunk has at most 2^level entries
     parts: list[float] = []
     for start in range(0, size, EXACT_SUM_CHUNK):
         chunk = values[start:start + EXACT_SUM_CHUNK]
@@ -304,10 +365,9 @@ def initial_state(params: ProtocolParams, spec: GridSpec) -> GridWavefunction:
     """The normalized initial Gaussian of both routes, for a caller that
     runs both on one grid and passes it to each as `initial=`.
 
-    Runs both routes' guards first, in evolve_joint's order, so nothing is
-    allocated for a grid that either route would refuse."""
+    Runs the routes' shared guard first, so nothing is allocated for a
+    grid that either route would refuse."""
     _require_domain(params, spec)
-    _check_joint_budget(params, spec)
     return init_gaussian(spec, params.delta)
 
 
@@ -369,15 +429,6 @@ def _require_domain(params: ProtocolParams, spec: GridSpec) -> None:
             f"{SUPPORT_SIGMAS:g} delta = {required.half_span}")
 
 
-def _check_joint_budget(params: ProtocolParams, spec: GridSpec) -> None:
-    entries = (2 ** params.n) * spec.node_count
-    if entries > MAX_JOINT_ENTRIES:
-        raise MemoryGuardError(
-            f"joint evolution touches {entries} entries, over the "
-            f"{MAX_JOINT_ENTRIES}-entry budget; reduce n or coarsen the grid"
-        )
-
-
 def evolve_joint(
     params: ProtocolParams, spec: GridSpec, *, initial: GridWavefunction | None = None,
 ) -> tuple[GridWavefunction, float]:
@@ -412,7 +463,6 @@ def evolve_joint(
     sequential protocol measure the sum observable.
     """
     _require_domain(params, spec)
-    _check_joint_budget(params, spec)
     chi = _start(params, spec, initial)
     n = params.n
     ca, sa = math.cos(params.alpha), math.sin(params.alpha)

@@ -414,10 +414,10 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "error: corrupt_mu must be finite" in err and "Warning" not in err
 
-    def test_joint_budget_refuses_before_sequential_work(self, monkeypatch, capsys):
-        # n = 13 at dx = 0.001 touches 8192 x 119441 joint entries, over the
-        # budget: the oracle must refuse it before spending time on the
-        # sequential evolution.
+    def test_node_budget_refuses_before_sequential_work(self, monkeypatch, capsys):
+        # Preset a at dx = 1e-6 has 107 million nodes, over the node budget:
+        # the oracle must refuse it before spending time on the sequential
+        # evolution.
         calls = []
         real = cli.evolve_sequential
 
@@ -426,8 +426,8 @@ class TestOracleCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "evolve_sequential", counting)
-        assert run_cli(["oracle", "--n", "13", "--grid_dx", "0.001"]) == 2
-        assert "budget" in capsys.readouterr().err
+        assert run_cli(["oracle", "--grid_dx", "1e-6"]) == 2
+        assert f"over the {grid.MAX_GRID_NODES}-node budget" in capsys.readouterr().err
         assert calls == []
 
     def test_one_initial_gaussian_per_oracle(self, monkeypatch, capsys):

@@ -29,7 +29,6 @@ from wvsim.grid import (
     SUPPORT_SIGMAS,
     GridWavefunction,
     _block_into,
-    _check_joint_budget,
     _exact_sum,
     _require_domain,
     _translation,
@@ -379,32 +378,39 @@ class TestEvolveJoint:
         assert abs(p_seq - p_joint) < 1e-12
 
     def test_memory_guard(self):
+        # A grid over the node budget is refused from its node count alone,
+        # before any node array exists: n = 40 at dx = 1e-6 has 96 million.
         params = ProtocolParams(n=40, alpha=0.3, beta=0.5, delta=1.0)
-        spec = GridSpec.for_protocol(params, dx=0.05)
-        with pytest.raises(MemoryGuardError):
-            evolve_joint(params, spec)
+        spec = GridSpec.for_protocol(params, dx=1e-6)
+        assert spec.node_count > MAX_GRID_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuardError, match=f"over the {MAX_GRID_NODES}-node budget"):
+                evolve_joint(params, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_memory_guard_in_bytes(self):
-        # The work budget counts entries touched, 2^n x node_count, at the
-        # threshold of the former 2 GiB budget on a materialized complex128
-        # joint state: n = 13 at dx = 0.001 (8192 x 119441 entries) is
-        # refused before any work and the n = 7 oracle grid fits.
-        fits = ProtocolParams(n=7, alpha=0.62, beta=2.53, delta=5.84)
-        _check_joint_budget(fits, GridSpec.for_protocol(fits, dx=0.001))
-        too_big = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
-        with pytest.raises(MemoryGuardError, match="budget"):
-            _check_joint_budget(too_big, GridSpec.for_protocol(too_big, dx=0.001))
+        # The node budget is the joint route's only size guard: its memory
+        # is O(nodes) whatever n is.  n = 13 at dx = 0.001 (8192 x 119441
+        # bitstring entries, 15.7 GB as a materialized complex128 joint
+        # state) holds the state, the initial Gaussian and n + 1 rows of
+        # BLOCK_NODES, and every n up to 16 at dx 0.01 and 0.001 is admitted.
+        params = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
+        spec = GridSpec.for_protocol(params, dx=0.001)
+        tracemalloc.start()
+        try:
+            evolve_joint(params, spec, initial=initial_state(params, spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * spec.node_count + (params.n + 1) * 8 * BLOCK_NODES + 2 ** 20
         for dx in (0.01, 0.001):
             for n in range(1, 17):
                 params = ProtocolParams(n=n, alpha=0.62, beta=2.53, delta=5.84)
-                spec = GridSpec.for_protocol(params, dx=dx)
-                refused_in_bytes = (2 ** n) * spec.node_count * 16 > 2 ** 31
-                try:
-                    _check_joint_budget(params, spec)
-                    refused = False
-                except MemoryGuardError:
-                    refused = True
-                assert refused == refused_in_bytes, (n, dx)
+                _require_domain(params, GridSpec.for_protocol(params, dx=dx))
 
     def test_matches_materialized_projection(self, monkeypatch):
         # Reference: fill the full 2^n x nodes coupled state first, each row
@@ -588,8 +594,8 @@ class TestSharedInitialState:
         built = []
         monkeypatch.setattr(grid, "init_gaussian", lambda *a: built.append(a))
         params = ProtocolParams(n=13, alpha=0.62, beta=2.53, delta=5.84)
-        with pytest.raises(MemoryGuardError, match="budget"):
-            initial_state(params, GridSpec.for_protocol(params, dx=0.001))
+        with pytest.raises(MemoryGuardError, match=f"over the {MAX_GRID_NODES}-node budget"):
+            initial_state(params, GridSpec.for_protocol(params, dx=1e-6))
         with pytest.raises(TruncationError, match="n \\+ 8 delta"):
             initial_state(params, GridSpec(dx=0.05, half_span=20.0))
         assert built == []

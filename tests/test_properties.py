@@ -37,6 +37,7 @@ from wvsim import (  # noqa: E402
     run_trials,
 )
 from wvsim.analytic import MAX_BLOCKS, MAX_DELTA, MIN_DELTA, _moment_integrals  # noqa: E402
+from wvsim import grid  # noqa: E402
 from wvsim.cli import COMMAND_KEYS, main  # noqa: E402
 from wvsim.grid import (  # noqa: E402
     EXACT_SUM_CHUNK, MAX_GRID_NODES, _exact_sum, init_gaussian,
@@ -184,6 +185,84 @@ def test_exact_sum_memory_is_one_chunk(squares):
         tracemalloc.stop()
     # Two chunk buffers and a short list of parts, against 8 MB of input.
     assert peak < 2 * 8 * EXACT_SUM_CHUNK + 2 ** 16
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts _exact_sum's fallbacks to repeated extraction passes."""
+    calls = []
+    real = grid._exact_sum_by_passes
+
+    def counting(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(grid, "_exact_sum_by_passes", counting)
+    return calls
+
+
+MIDPOINT = 1 + Fraction(2) ** -53  # halfway between 1 and the next float
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+@pytest.mark.parametrize("values, squares, expected", [
+    # One pass rounds the residuals 2^-53 and +-2^-200 to 2^-53, the
+    # midpoint itself, and the bound B brackets it: the certificate cannot
+    # decide, so the sum falls back.
+    ([1.0, 2.0 ** -53, 2.0 ** -200], False, 1.0 + 2.0 ** -52),
+    ([1.0, 2.0 ** -53, -2.0 ** -200], False, 1.0),
+    # Squares 1, 2^-54, 2^-54 and 2^-200 sum to just above the midpoint, and
+    # with 2^-54 - 2^-106 for one of the 2^-54 to just below it.
+    ([1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -100], True, 1.0 + 2.0 ** -52),
+    ([1.0, 2.0 ** -27, float(np.nextafter(2.0 ** -27, 0.0)), 2.0 ** -100], True, 1.0),
+])
+def test_exact_sum_falls_back_near_a_midpoint(values, squares, expected, boundary, fallbacks):
+    array = np.array(values)
+    if boundary:  # the first value ends a chunk, the others open the next
+        array = np.concatenate([np.zeros(EXACT_SUM_CHUNK - 1), array, np.zeros(2)])
+    terms = array * array if squares else array
+    assert abs(sum(map(Fraction, terms[terms != 0])) - MIDPOINT) < Fraction(2) ** -90
+    assert _exact_sum(array, squares=squares) == math.fsum(terms) == expected
+    assert fallbacks == [array.size]
+
+
+@pytest.mark.parametrize("scale", [3e-162, 2.0 ** -506])
+def test_exact_sum_of_subnormal_squares(scale, fallbacks):
+    """Squares near 9e-324 are subnormal and so is every residual; near
+    2^-1012 the squares are normal but their residuals and the bound B_c
+    are subnormal.  B_c underflows to zero near 9e-324 and in the short
+    last chunk near 2^-1012, so the certificate holds trivially.  That is
+    safe: every residual lies on the 2^-1074 grid and every partial sum of
+    them stays below 2^-1021, where an addition is exact, so the residual
+    sums have no rounding error to bound.  Three chunks, the last short."""
+    roots = scale * np.random.default_rng(11).uniform(0.5, 1.5, 2 * EXACT_SUM_CHUNK + 7)
+    assert _exact_sum(roots, squares=True) == math.fsum(roots * roots)
+    assert _exact_sum(-roots, squares=True) == math.fsum(roots * roots)
+    assert fallbacks == []
+
+
+def test_exact_sum_certifies_oracle_and_click_norms(fallbacks, monkeypatch):
+    # Every norm of the oracle on presets a-d and of 50 click_scan-style
+    # sampler builds (n = 7, alpha 0.62, beta 2.3-2.8, delta 3-6) is
+    # certified in one pass.
+    norms = []
+    real = grid._exact_sum
+
+    def counting(values, **kwargs):
+        norms.append(values.size)
+        return real(values, **kwargs)
+
+    monkeypatch.setattr(grid, "_exact_sum", counting)
+    for label in "abcd":
+        for dx in ("0.01", "0.001"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["oracle", "--preset", label, "--grid_dx", dx]) == 0
+    draw = np.random.default_rng(13)
+    for beta, delta in zip(draw.uniform(2.3, 2.8, 50), draw.uniform(3.0, 6.0, 50)):
+        params = ProtocolParams(n=7, alpha=0.62, beta=float(beta), delta=float(delta))
+        _conditional_sampler.__wrapped__(params, GridSpec.for_protocol(params))
+    assert len(norms) == 8 * 3 + 50 * 2
+    assert fallbacks == []
 
 
 @kernel_settings
